@@ -12,10 +12,11 @@ mirror the config fields one to one.  A run writes into --out:
 * ``results.csv`` (sweep mode) -- one row per (p, q) pair in lexicographic
   order; out-of-window pairs are skipped with a warning.
 
-Exit codes: 0 converged, 2 ran but not converged (results still written),
-1 configuration or validation error.  Identical config and seed give
-byte-identical outputs except for the runtime_seconds field.  The
-SUBEIGEN_THREADS environment variable caps the sweep worker pool.
+Exit codes: 0 converged, 2 ran but not converged (results still written;
+an inner solve that fails after the first outer step ends a run this way),
+1 configuration or validation error, or an inner solve that fails on the
+first outer step.  Identical config and seed give byte-identical outputs
+except for the runtime_seconds field.
 """
 
 from __future__ import annotations
@@ -23,16 +24,15 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .diagnostics import regularity_report, report_to_dict
 from .eigensolver import EigenResult, SolverConfig, inverse_iteration, rayleigh_minimize
 from .groups import check_regime, get_group
+from .inner_solver import ConvergenceError
 from .mesh import build_grid, dump_field_csv
 from .oracle import NODE_CAP, brute_force_lambda
 
@@ -89,7 +89,6 @@ def _solver_config(cfg: RunConfig, grid, p: float, q: float) -> SolverConfig:
     return SolverConfig(
         grid=grid, p=p, q=q, tol_inner=cfg.tol_inner, tol_outer=cfg.tol_outer,
         eps_floor=cfg.eps_floor, max_inner=cfg.max_inner, max_outer=cfg.max_outer,
-        seed=cfg.seed,
     )
 
 
@@ -188,23 +187,12 @@ def sweep(cfg: RunConfig) -> int:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    def solve(pair):
-        p, q = pair
-        if cfg.method == "rayleigh":
-            return pair, rayleigh_minimize(_solver_config(cfg, grid, p, q))
-        return pair, inverse_iteration(_solver_config(cfg, grid, p, q))
-
-    env_cap = os.environ.get("SUBEIGEN_THREADS")
-    workers = max(1, int(env_cap)) if env_cap else min(4, len(pairs))
-    results: dict[tuple[float, float], EigenResult] = {}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for pair, res in pool.map(solve, pairs):
-            results[pair] = res
+    solver = rayleigh_minimize if cfg.method == "rayleigh" else inverse_iteration
+    results = {(p, q): solver(_solver_config(cfg, grid, p, q)) for p, q in pairs}
 
     with open(out / "results.csv", "w", newline="") as fh:
         fh.write("p,q,lambda_hat,residual,outer_iters,converged\n")
-        for pair in sorted(results):
-            r = results[pair]
+        for pair, r in results.items():
             fh.write(f"{_float_repr(pair[0])},{_float_repr(pair[1])},"
                      f"{_float_repr(r.lambda_hat)},{_float_repr(r.residual)},"
                      f"{r.outer_iters},{str(r.converged).lower()}\n")
@@ -276,9 +264,13 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if cfg.sweep_p is not None or cfg.sweep_q is not None:
-        return sweep(cfg)
-    return run(cfg)
+    try:
+        if cfg.sweep_p is not None or cfg.sweep_q is not None:
+            return sweep(cfg)
+        return run(cfg)
+    except ConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

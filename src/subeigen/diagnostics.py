@@ -19,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolver import SolverConfig, rayleigh_minimize
+from .eigensolver import SolverConfig, normalize, rayleigh_minimize
 from .groups import check_regime
 from .mesh import Field, Grid, lq_norm, p_energy
-from .operators import apply_A  # noqa: F401  (re-exported context for callers)
 
 __all__ = [
     "RegularityReport",
@@ -189,10 +188,7 @@ def regularity_report(u: Field, lam: float, p: float, q: float,
     """
     grid = u.grid
     nu = grid.group.homogeneous_dim
-    vals = u.values / lq_norm(u, q)
-    if vals.sum() < 0:
-        vals = -vals
-    u = Field(grid, vals)
+    u = normalize(u, q)
     if S is None:
         l_case = p if q <= p else q
         if l_case == q:

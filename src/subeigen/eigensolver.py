@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .inner_solver import InnerConfig, default_inner_config, solve_inner
+from .inner_solver import ConvergenceError, InnerConfig, default_inner_config, solve_inner
 from .mesh import Field, Grid, lq_norm, p_energy
 from .operators import apply_A, apply_B, residual
 
@@ -57,7 +57,6 @@ class SolverConfig:
     eps_floor: float = 1e-8
     max_inner: int = 100_000
     max_outer: int = 500
-    seed: int = 0
 
     def __post_init__(self):
         if self.p <= 1:
@@ -125,8 +124,10 @@ def inverse_iteration(cfg: SolverConfig, w0: Field | str = "default") -> EigenRe
     Each step solves A(z) = B(w_n) and renormalizes; mu_n = ||z||_q^{1-p}.
     Stops once both the relative mu-change and the L^q change of successive
     normalized iterates drop below tol_outer, or at max_outer with
-    converged = False.  A zero inner solution signals a solver defect and
-    raises RuntimeError.
+    converged = False.  An inner solve that raises ConvergenceError also
+    stops the iteration with converged = False, returning the last completed
+    step; if the very first inner solve fails, the error propagates.  A zero
+    inner solution signals a solver defect and raises RuntimeError.
     """
     p, q = cfg.p, cfg.q
     if isinstance(w0, str):
@@ -152,7 +153,12 @@ def inverse_iteration(cfg: SolverConfig, w0: Field | str = "default") -> EigenRe
     for _ in range(cfg.max_outer):
         rhs = apply_B(w, q)
         stats: dict = {}
-        z = solve_inner(rhs, p, icfg, x0=warm, stats=stats)
+        try:
+            z = solve_inner(rhs, p, icfg, x0=warm, stats=stats)
+        except ConvergenceError:
+            if not mu_trace:
+                raise
+            break
         znorm = lq_norm(z, q)
         if znorm == 0.0 or not math.isfinite(znorm):
             raise RuntimeError(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Field, Grid
+from .mesh import EnergyState, Field, Grid
 from .operators import DualField
 
 __all__ = [
@@ -55,7 +55,7 @@ class InnerConfig:
     tol_grad: float = 1e-8
     max_iters: int = 100_000
     eps_schedule: tuple[float, ...] = (1e-2, 1e-4, 1e-8)
-    method: str = "auto"  # auto | cg_p2 | descent_bb
+    method: str = "auto"  # auto | descent_bb
 
     def __post_init__(self):
         if self.tol_grad <= 0:
@@ -67,7 +67,7 @@ class InnerConfig:
             raise ValueError("eps_schedule entries must be nonnegative")
         if any(a < b for a, b in zip(sched, sched[1:])):
             raise ValueError(f"eps_schedule must be nonincreasing, got {sched}")
-        if self.method not in ("auto", "cg_p2", "descent_bb"):
+        if self.method not in ("auto", "descent_bb"):
             raise ValueError(f"unknown inner method {self.method!r}")
         self.eps_schedule = sched
 
@@ -94,23 +94,6 @@ def inner_objective(z: Field, f: DualField, p: float, eps: float) -> float:
     from .mesh import p_energy
     from .operators import pairing
     return p_energy(z, p, eps) / p - pairing(f, z)
-
-
-def _energy_term(grid: Grid, z: np.ndarray, p: float, eps: float) -> float:
-    g = (grid.gradient_matrix @ z).reshape(grid.group.horizontal_dim, grid.n_sites)
-    gsq = np.sum(g * g, axis=0) + eps * eps
-    return float(np.sum(gsq ** (p / 2.0)))
-
-
-def _gradient_and_energy(grid: Grid, z: np.ndarray, p: float,
-                         eps: float) -> tuple[np.ndarray, float]:
-    """(grad of energy-term/p, energy-term) at node values z; volume factor excluded."""
-    G = grid.gradient_matrix
-    g = (G @ z).reshape(grid.group.horizontal_dim, grid.n_sites)
-    gsq = np.sum(g * g, axis=0) + eps * eps
-    w = gsq ** ((p - 2.0) / 2.0)
-    energy = float(np.sum(gsq ** (p / 2.0)))
-    return G.T @ (g * w[None, :]).ravel(), energy
 
 
 def solve_linear_cg(f: DualField, cfg: InnerConfig, x0: Field | None = None,
@@ -167,16 +150,14 @@ def _bb_stage(grid: Grid, fvals: np.ndarray, z: np.ndarray, p: float, eps: float
     could not find further decrease.  Accepted objective values (volume
     factor excluded) are appended to ``history`` when given.
     """
-    g, energy = _gradient_and_energy(grid, z, p, eps)
-    g = g - fvals
-    J = energy / p - float(np.dot(fvals, z))
+    state = EnergyState(grid, z, p, eps)
+    g = state.flux_divergence() - fvals
+    J = state.energy() / p - float(np.dot(fvals, z))
     if history is not None:
         history.append(J)
     # conservative first step: inverse of the p = 2 diagonal times the worst flux weight
-    gsq_max = float(np.max(np.sum(
-        (grid.gradient_matrix @ z).reshape(grid.group.horizontal_dim, grid.n_sites) ** 2,
-        axis=0))) + eps * eps
-    tau = 1.0 / (float(np.max(grid.stiffness_diagonal)) * max(gsq_max ** ((p - 2.0) / 2.0), 1e-12))
+    s_max = float(np.max(state.s))
+    tau = 1.0 / (float(np.max(grid.stiffness_diagonal)) * max(s_max ** ((p - 2.0) / 2.0), 1e-12))
     z_prev = g_prev = None
     flat_streak = 0
     for it in range(max_iters):
@@ -194,7 +175,8 @@ def _bb_stage(grid: Grid, fvals: np.ndarray, z: np.ndarray, p: float, eps: float
         accepted = False
         for _ in range(120):
             z_try = z - step * g
-            J_try = _energy_term(grid, z_try, p, eps) / p - float(np.dot(fvals, z_try))
+            trial = EnergyState(grid, z_try, p, eps)
+            J_try = trial.energy() / p - float(np.dot(fvals, z_try))
             if J_try <= J - 1e-4 * step * gnorm * gnorm:
                 accepted = True
                 break
@@ -206,12 +188,10 @@ def _bb_stage(grid: Grid, fvals: np.ndarray, z: np.ndarray, p: float, eps: float
         if flat_streak >= 50:
             return z_try, gnorm, True, it
         z_prev, g_prev = z, g
-        z = z_try
+        z, J = z_try, J_try
         if history is not None:
-            history.append(J_try)
-        g, energy = _gradient_and_energy(grid, z, p, eps)
-        g = g - fvals
-        J = energy / p - float(np.dot(fvals, z))
+            history.append(J)
+        g = trial.flux_divergence() - fvals
     return z, float(np.linalg.norm(g)), False, max_iters
 
 
@@ -233,10 +213,8 @@ def solve_inner(f: DualField, p: float, cfg: InnerConfig, x0: Field | None = Non
         if stats is not None:
             stats["iters"] = 0
         return Field.zeros(grid)
-    if p == 2.0 and cfg.method in ("auto", "cg_p2"):
+    if p == 2.0 and cfg.method == "auto":
         return solve_linear_cg(f, cfg, x0=x0, stats=stats)
-    if cfg.method == "cg_p2":
-        raise ValueError("cg_p2 method is only valid for p = 2")
 
     z = np.zeros(grid.n_nodes) if x0 is None else x0.values.copy()
     tol_abs = cfg.tol_grad * fnorm

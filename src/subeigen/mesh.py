@@ -275,11 +275,34 @@ def horizontal_gradient(u: Field) -> HField:
     return HField(grid, flat.reshape(n1, grid.n_sites).T)
 
 
-def _gradient_sq(u: Field) -> np.ndarray:
-    grid = u.grid
-    n1 = grid.group.horizontal_dim
-    flat = grid.gradient_matrix @ u.values
-    return np.sum(flat.reshape(n1, grid.n_sites) ** 2, axis=0)
+class EnergyState:
+    """The regularized p-energy kernel at one node-value vector.
+
+    Computes the site gradients g = G z once and s = |g|^2 + eps^2 from
+    them.  ``energy()`` is sum s^{p/2} and ``flux_divergence()`` is
+    G^T (s^{(p-2)/2} g), the gradient of energy()/p; both leave out the
+    cell volume.  Callers check p > 1 and eps >= 0.
+    """
+
+    __slots__ = ("grid", "p", "g", "s")
+
+    def __init__(self, grid: Grid, z: np.ndarray, p: float, eps: float):
+        self.grid = grid
+        self.p = p
+        self.g = (grid.gradient_matrix @ z).reshape(grid.group.horizontal_dim, grid.n_sites)
+        self.s = np.sum(self.g * self.g, axis=0) + eps * eps
+
+    def energy(self) -> float:
+        return float(np.sum(self.s ** (self.p / 2.0)))
+
+    def flux_divergence(self) -> np.ndarray:
+        s = self.s
+        if self.p < 2.0 and not s.all():
+            # s^{(p-2)/2} g -> 0 as g -> 0 when p > 1, so the weight is 0 where
+            # s = 0; inf to the negative power (p-2)/2 gives exactly that 0
+            s = np.where(s == 0.0, np.inf, s)
+        w = s ** ((self.p - 2.0) / 2.0)
+        return self.grid.gradient_matrix.T @ (self.g * w[None, :]).ravel()
 
 
 def p_energy(u: Field, p: float, eps: float = 0.0) -> float:
@@ -291,12 +314,7 @@ def p_energy(u: Field, p: float, eps: float = 0.0) -> float:
         raise ValueError(f"p-energy requires p > 1, got p = {p}")
     if eps < 0:
         raise ValueError(f"regularization eps must be >= 0, got {eps}")
-    gsq = _gradient_sq(u)
-    if eps == 0.0:
-        integrand = gsq ** (p / 2.0)
-    else:
-        integrand = (gsq + eps * eps) ** (p / 2.0)
-    return float(np.sum(integrand) * u.grid.cell_volume)
+    return EnergyState(u.grid, u.values, p, eps).energy() * u.grid.cell_volume
 
 
 def lq_norm(u: Field, q: float) -> float:

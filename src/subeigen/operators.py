@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Field, Grid, lq_norm, p_energy
+from .mesh import EnergyState, Field, Grid, lq_norm, p_energy
 
 __all__ = ["DualField", "apply_A", "apply_B", "pairing", "residual", "eigen_defect"]
 
@@ -71,19 +71,7 @@ def apply_A(u: Field, p: float, eps: float = 0.0) -> DualField:
         raise ValueError(f"operator A requires p > 1, got p = {p}")
     if eps < 0:
         raise ValueError(f"regularization eps must be >= 0, got {eps}")
-    grid = u.grid
-    n1 = grid.group.horizontal_dim
-    G = grid.gradient_matrix
-    g = (G @ u.values).reshape(n1, grid.n_sites)
-    gsq = np.sum(g * g, axis=0)
-    if eps == 0.0:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = gsq ** ((p - 2.0) / 2.0)
-        w[gsq == 0.0] = 0.0 if p < 2 else (1.0 if p == 2 else 0.0)
-    else:
-        w = (gsq + eps * eps) ** ((p - 2.0) / 2.0)
-    flux = g * w[None, :]
-    return DualField(grid, G.T @ flux.ravel())
+    return DualField(u.grid, EnergyState(u.grid, u.values, p, eps).flux_divergence())
 
 
 def apply_B(u: Field, q: float) -> DualField:

@@ -28,3 +28,18 @@ def chain_grid(n: int = 3, h: float = 1.0):
 
 def random_field(grid, rng, scale=1.0):
     return se.Field(grid, scale * rng.standard_normal(grid.n_nodes))
+
+
+def fail_inner_solve_on_call(monkeypatch, n: int) -> None:
+    """Make the n-th inner solve of inverse iteration raise ConvergenceError."""
+    from subeigen import eigensolver
+    real = eigensolver.solve_inner
+    calls = []
+
+    def solve(f, *args, **kwargs):
+        calls.append(f)
+        if len(calls) == n:
+            raise se.ConvergenceError("injected inner failure", se.Field.zeros(f.grid), 1.0)
+        return real(f, *args, **kwargs)
+
+    monkeypatch.setattr(eigensolver, "solve_inner", solve)

@@ -6,6 +6,7 @@ import pytest
 
 import subeigen as se
 from subeigen.cli import main
+from conftest import fail_inner_solve_on_call
 
 
 def read_summary(out_dir):
@@ -116,7 +117,6 @@ def test_sweep_results(tmp_path, capsys):
 
 
 def test_sweep_deterministic_bytes(tmp_path, monkeypatch):
-    monkeypatch.setenv("SUBEIGEN_THREADS", "2")
     args = ["--group", "euclidean2", "--box", "0,1,0,1", "--resolution", "6,6",
             "--sweep-p", "1.5,2,3", "--sweep-q", "1.5,2"]
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -169,3 +169,27 @@ def test_nonconverged_exit_code(tmp_path):
     summary = read_summary(out)
     assert summary["converged"] is False
     assert summary["lambda_hat"] > 0  # results still written
+
+
+def test_inner_failure_exit_code(tmp_path, monkeypatch):
+    # a failed inner solve after two completed steps still writes the artifacts
+    fail_inner_solve_on_call(monkeypatch, 3)
+    out = tmp_path / "run"
+    code = main(["--group", "euclidean2", "--box", "0,1,0,1", "--resolution", "6,6",
+                 "--p", "3", "--q", "2", "--out", str(out)])
+    assert code == 2
+    summary = read_summary(out)
+    assert summary["converged"] is False
+    assert summary["outer_iters"] == 2
+    with open(out / "trace.csv") as fh:
+        assert len(list(csv.reader(fh))) == 1 + 2
+
+
+def test_first_inner_failure_is_an_error(tmp_path, capsys):
+    code = main(["--group", "euclidean2", "--box", "0,1,0,1", "--resolution", "6,6",
+                 "--p", "3", "--q", "2", "--max-inner", "1", "--out", str(tmp_path / "run")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err

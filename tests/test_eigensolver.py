@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import subeigen as se
-from conftest import chain_grid, random_field
+from conftest import chain_grid, fail_inner_solve_on_call, random_field
 
 TWO_PI_SQ = 2 * np.pi ** 2
 
@@ -91,6 +91,18 @@ def test_inverse_iteration_max_outer_reports_unconverged():
     r = se.inverse_iteration(cfg)
     assert not r.converged
     assert r.outer_iters == 2
+
+
+def test_inverse_iteration_inner_failure_returns_last_step(monkeypatch):
+    cfg = se.SolverConfig(grid=small_square(), p=3.0, q=2.0)
+    two_steps = se.inverse_iteration(se.SolverConfig(grid=small_square(), p=3.0, q=2.0,
+                                                     max_outer=2))
+    fail_inner_solve_on_call(monkeypatch, 3)
+    r = se.inverse_iteration(cfg)
+    assert not r.converged
+    assert r.outer_iters == 2
+    assert r.lambda_hat == two_steps.lambda_hat
+    assert np.array_equal(r.eigenfunction.values, two_steps.eigenfunction.values)
 
 
 def test_scalar_multiple_structure():

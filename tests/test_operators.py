@@ -161,3 +161,33 @@ def test_eigen_defect_matches_definition(unit_square, rng):
     d = eigen_defect(u, lam, p, q)
     expected = se.apply_A(u, p).values - lam * se.lq_norm(u, q) ** (p - q) * se.apply_B(u, q).values
     assert np.allclose(d.values, expected)
+
+
+def test_apply_A_is_energy_gradient(rng):
+    # both outputs of the p-energy kernel: A(u) is the gradient of p_energy/p per unit volume
+    grids = (se.build_grid("euclidean2", [(0, 1), (0, 1)], (4, 4)),
+             se.build_grid("heisenberg1", [(0, 1), (0, 1), (0, 1)], (3, 3, 3)))
+    eps, h = 1e-3, 1e-6
+    for grid in grids:
+        u = random_field(grid, rng)
+        for p in (1.5, 3.0):
+            fd = np.empty(grid.n_nodes)
+            for i in range(grid.n_nodes):
+                e = np.zeros(grid.n_nodes)
+                e[i] = h
+                plus = se.p_energy(se.Field(grid, u.values + e), p, eps)
+                minus = se.p_energy(se.Field(grid, u.values - e), p, eps)
+                fd[i] = (plus - minus) / (2 * h * p * grid.cell_volume)
+            Au = se.apply_A(u, p, eps).values
+            assert np.max(np.abs(Au - fd)) <= 1e-6 * np.max(np.abs(Au))
+
+
+def test_apply_A_zero_gradient_weight():
+    # p < 2 at eps = 0: sites with zero gradient carry zero flux, the eps -> 0 limit
+    for grid in (se.build_grid("euclidean2", [(0, 1), (0, 1)], (4, 4)),
+                 se.build_grid("heisenberg1", [(0, 1), (0, 1), (0, 1)], (3, 3, 3))):
+        u = se.Field.ones(grid)
+        exact = se.apply_A(u, 1.5).values
+        assert np.all(np.isfinite(exact))
+        near = se.apply_A(u, 1.5, 1e-12).values
+        assert np.max(np.abs(exact - near)) <= 1e-9 * np.max(np.abs(near))

@@ -7,7 +7,8 @@ mirror the config fields one to one.  A run writes into --out:
   convergence flag, iteration count, runtime, the regularity report, and
   (method = both) both method values with their relative gap.
 * ``trace.csv`` -- per outer iteration: n, mu_n, unorm_p, lq_change,
-  inner_iters, residual.
+  inner_iters, residual (for --method rayleigh, unorm_p and residual of
+  the returned iterate on the last row only).
 * ``field.csv`` (--dump-field) -- eigenfunction node values with coordinates.
 * ``results.csv`` (sweep mode) -- one row per (p, q) pair in lexicographic
   order; out-of-window pairs are skipped with a warning.
@@ -93,16 +94,20 @@ def _solver_config(cfg: RunConfig, grid, p: float, q: float) -> SolverConfig:
 
 
 def _write_trace(result: EigenResult, path: Path) -> None:
+    """One row per outer step.  A trace shorter than outer_iters (rayleigh's
+    one-value unorm_trace and residual_trace) fills only the last rows."""
+    n_rows = result.outer_iters
+    columns = [(result.mu_trace, _float_repr), (result.unorm_trace, _float_repr),
+               (result.change_trace, _float_repr), (result.inner_iters_trace, str),
+               (result.residual_trace, _float_repr)]
     with open(path, "w", newline="") as fh:
         fh.write("n,mu_n,unorm_p,lq_change,inner_iters,residual\n")
-        n_rows = len(result.change_trace)
         for n in range(n_rows):
-            mu = result.mu_trace[n] if n < len(result.mu_trace) else result.mu_trace[-1]
-            un = result.unorm_trace[n] if n < len(result.unorm_trace) else result.unorm_trace[-1]
-            res = result.residual_trace[n] if n < len(result.residual_trace) else result.residual_trace[-1]
-            inner = result.inner_iters_trace[n] if n < len(result.inner_iters_trace) else 0
-            fh.write(f"{n},{_float_repr(mu)},{_float_repr(un)},"
-                     f"{_float_repr(result.change_trace[n])},{inner},{_float_repr(res)}\n")
+            cells = [str(n)]
+            for trace, fmt in columns:
+                k = n - (n_rows - len(trace))
+                cells.append(fmt(trace[k]) if k >= 0 else "")
+            fh.write(",".join(cells) + "\n")
 
 
 def run(cfg: RunConfig) -> int:
@@ -113,6 +118,10 @@ def run(cfg: RunConfig) -> int:
         return 1
     group = get_group(cfg.group)
     grid = build_grid(group, [tuple(ax) for ax in cfg.box], cfg.resolution)
+    if cfg.oracle and grid.n_nodes > NODE_CAP:
+        print(f"error: --oracle needs at most {NODE_CAP} interior nodes, "
+              f"grid has {grid.n_nodes}", file=sys.stderr)
+        return 1
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -146,10 +155,6 @@ def run(cfg: RunConfig) -> int:
         summary["lambda_hat_rayleigh"] = lr
         summary["rel_gap"] = abs(li - lr) / max(abs(li), abs(lr))
     if cfg.oracle:
-        if grid.n_nodes > NODE_CAP:
-            print(f"error: --oracle needs at most {NODE_CAP} interior nodes, "
-                  f"grid has {grid.n_nodes}", file=sys.stderr)
-            return 1
         summary["oracle_lambda"] = brute_force_lambda(grid, cfg.p, cfg.q,
                                                       seed=cfg.seed).lambda_star
 

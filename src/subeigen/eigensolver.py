@@ -4,13 +4,16 @@ Two independent routes to the same minimum of the Rayleigh quotient
 
     R(u) = p_energy(u, p) / lq_norm(u, q)^p :
 
-* ``inverse_iteration`` -- the nonlinear inverse power scheme: solve
-  A(z_{n+1}) = B(w_n), renormalize w_{n+1} = z_{n+1}/||z_{n+1}||_q and read
-  off mu_n = ||z_{n+1}||_q^{1-p}.  By degree-(p-1) homogeneity of A this is
-  the unique constant making the normalized iterate satisfy
-  A(w_{n+1}) = mu_n B(w_n) exactly.  With exact inner solves both {mu_n}
-  and the energies ||w_{n+1}||^p are nonincreasing and squeeze onto a
-  common limit >= the discrete minimum.
+* ``inverse_iteration`` -- the nonlinear inverse power scheme as a fixed
+  point of F(w) = normalize(A^{-1} B(w)), accelerated by safeguarded
+  Anderson mixing.  Step n solves A(z) = B(w_n), sets
+  mu_n = ||z||_q^{1-p} and g_n = z/||z||_q; by degree-(p-1) homogeneity of
+  A, mu_n is the unique constant with A(g_n) = mu_n B(w_n).  An Anderson
+  extrapolation of the recent (w_i, g_i) pairs becomes w_{n+1} only if it
+  does not raise the quotient above R(g_n); otherwise w_{n+1} = g_n.  For
+  any unit-norm w_n, Hoelder gives R(g_n) <= mu_n <= R(w_n), so with exact
+  inner solves both {mu_n} and the quotients R(w_{n+1}) are nonincreasing
+  and squeeze onto a common limit >= the discrete minimum.
 
 * ``rayleigh_minimize`` -- projected descent on the unit L^q sphere along
   the scale-invariant quotient gradient A(u) - R(u) B(u), renormalizing
@@ -118,14 +121,48 @@ def _default_start(grid: Grid, q: float) -> Field:
     return normalize(Field.from_function(grid, tent), q)
 
 
+# Anderson mixing depth: the number of past differences the extrapolation
+# uses, so the last _ANDERSON_DEPTH + 1 (w, g) pairs are kept.
+_ANDERSON_DEPTH = 5
+
+
+def _anderson_candidate(ws: list[np.ndarray], gs: list[np.ndarray], grid: Grid,
+                        q: float) -> Field | None:
+    """Normalized Anderson extrapolation g_n - dG gamma, where gamma is the
+    least-squares fit of the newest fixed-point residual f_n = g_n - w_n by
+    the differences dF of the kept residuals; None if it is degenerate."""
+    G = np.array(gs)
+    F = G - np.array(ws)
+    try:
+        gamma = np.linalg.lstsq(np.diff(F, axis=0).T, F[-1], rcond=None)[0]
+    except np.linalg.LinAlgError:
+        return None
+    cand = Field(grid, G[-1] - np.diff(G, axis=0).T @ gamma)
+    nrm = lq_norm(cand, q)
+    if not (math.isfinite(nrm) and nrm > 0.0):
+        return None
+    return normalize(cand, q)
+
+
 def inverse_iteration(cfg: SolverConfig, w0: Field | str = "default") -> EigenResult:
     """Nonlinear inverse power iteration for the first (p,q)-eigenpair.
 
-    Each step solves A(z) = B(w_n) and renormalizes; mu_n = ||z||_q^{1-p}.
-    Stops once both the relative mu-change and the L^q change of successive
-    normalized iterates drop below tol_outer, or at max_outer with
-    converged = False.  An inner solve that raises ConvergenceError also
-    stops the iteration with converged = False, returning the last completed
+    Step n solves A(z) = B(w_n) and sets mu_n = ||z||_q^{1-p} and
+    g_n = normalize(z).  The next iterate w_{n+1} is the Anderson
+    extrapolation of the last _ANDERSON_DEPTH + 1 pairs (w_i, g_i), accepted
+    only if it is finite, nonzero and R(w_{n+1}) <= R(g_n) with R the exact
+    (eps = 0) quotient; otherwise w_{n+1} = g_n and the history restarts
+    from (w_n, g_n).  Since R(g_n) <= mu_n <= R(w_n) for unit-norm w_n, the
+    safeguard keeps mu_trace nonincreasing and unorm_trace[n] = R(w_{n+1})
+    below mu_n.  change_trace holds the fixed-point residual
+    ||g_n - w_n||_q, and the next solve is warm-started from
+    w_{n+1} mu_n^{1/(1-p)}.
+
+    Stops once both the relative mu-change and the fixed-point residual drop
+    below tol_outer, or at max_outer with converged = False.  The returned
+    eigenfunction, residual and lambda_hat = mu_n belong to g_n of the last
+    completed step.  An inner solve that raises ConvergenceError also stops
+    the iteration with converged = False, returning the last completed
     step; if the very first inner solve fails, the error propagates.  A zero
     inner solution signals a solver defect and raises RuntimeError.
     """
@@ -147,9 +184,11 @@ def inverse_iteration(cfg: SolverConfig, w0: Field | str = "default") -> EigenRe
     change_trace: list[float] = []
     inner_iters: list[int] = []
     resid_trace: list[float] = []
+    ws: list[np.ndarray] = []
+    gs: list[np.ndarray] = []
     converged = False
     mu_prev = None
-    warm: Field | None = None
+    g = warm = None
     for _ in range(cfg.max_outer):
         rhs = apply_B(w, q)
         stats: dict = {}
@@ -166,12 +205,20 @@ def inverse_iteration(cfg: SolverConfig, w0: Field | str = "default") -> EigenRe
                 "nonzero solution for nonzero w, so this indicates a solver bug"
             )
         mu = znorm ** (1.0 - p)
-        w_next = normalize(z, q)
+        g = normalize(z, q)
+        ws = ws[-_ANDERSON_DEPTH:] + [w.values]
+        gs = gs[-_ANDERSON_DEPTH:] + [g.values]
+        w_next, R_next = g, p_energy(g, p, 0.0)
+        cand = _anderson_candidate(ws, gs, cfg.grid, q) if len(ws) > 1 else None
+        if cand is not None and (R_cand := p_energy(cand, p, 0.0)) <= R_next:
+            w_next, R_next = cand, R_cand
+        else:
+            ws, gs = ws[-1:], gs[-1:]
         mu_trace.append(mu)
-        unorm_trace.append(p_energy(w_next, p, 0.0))
-        change_trace.append(lq_norm(w_next - w, q))
+        unorm_trace.append(R_next)
+        change_trace.append(lq_norm(g - w, q))
         inner_iters.append(int(stats.get("iters", 0)))
-        resid_trace.append(residual(w_next, mu, p, q))
+        resid_trace.append(residual(g, mu, p, q))
         # warm start the next solve near the expected fixed point z* = mu^{1/(1-p)} w
         warm = w_next * (mu ** (1.0 / (1.0 - p)))
         w = w_next
@@ -181,10 +228,9 @@ def inverse_iteration(cfg: SolverConfig, w0: Field | str = "default") -> EigenRe
                 break
         mu_prev = mu
 
-    lam = mu_trace[-1]
     return EigenResult(
-        lambda_hat=lam,
-        eigenfunction=w,
+        lambda_hat=mu_trace[-1],
+        eigenfunction=g,
         mu_trace=mu_trace,
         unorm_trace=unorm_trace,
         change_trace=change_trace,
@@ -202,8 +248,10 @@ def rayleigh_minimize(cfg: SolverConfig, u0: Field | str = "default") -> EigenRe
 
     The descent direction at a normalized iterate is the quotient gradient
     A(u) - R(u) B(u); steps are renormalized and accepted only on sufficient
-    decrease of R, so the quotient trace is nonincreasing by construction.
-    Stops after 5 consecutive steps with relative change <= tol_outer.
+    decrease of R, so the quotient trace is nonincreasing by construction;
+    mu_trace[n] is the quotient after step n.  unorm_trace and
+    residual_trace hold one value each, for the returned iterate.  Stops
+    after 5 consecutive steps with relative change <= tol_outer.
     """
     p, q = cfg.p, cfg.q
     if isinstance(u0, str):
@@ -223,7 +271,7 @@ def rayleigh_minimize(cfg: SolverConfig, u0: Field | str = "default") -> EigenRe
     vol = cfg.grid.cell_volume
 
     R = rayleigh_quotient(u, p, q)
-    quot_trace = [R]
+    quot_trace: list[float] = []
     change_trace: list[float] = []
     evals_trace: list[int] = []
     tau = 1.0 / float(np.max(cfg.grid.stiffness_diagonal))
@@ -253,6 +301,7 @@ def rayleigh_minimize(cfg: SolverConfig, u0: Field | str = "default") -> EigenRe
                 break
             step *= 0.5
         evals_trace.append(evals)
+        rel_change = abs(R - R_new) / max(R_new, 1e-300)
         if accepted:
             u_prev_vals, g_prev = u.values, d
             change_trace.append(lq_norm(u_new - u, q))
@@ -260,7 +309,6 @@ def rayleigh_minimize(cfg: SolverConfig, u0: Field | str = "default") -> EigenRe
         else:
             change_trace.append(0.0)
         quot_trace.append(R)
-        rel_change = abs(quot_trace[-2] - quot_trace[-1]) / max(R, 1e-300)
         patience = patience + 1 if rel_change <= cfg.tol_outer else 0
         if patience >= patience_needed:
             converged = True
@@ -275,7 +323,7 @@ def rayleigh_minimize(cfg: SolverConfig, u0: Field | str = "default") -> EigenRe
         change_trace=change_trace,
         residual=res,
         converged=converged,
-        outer_iters=len(quot_trace) - 1,
+        outer_iters=len(quot_trace),
         inner_iters_trace=evals_trace,
         residual_trace=[res],
         method="rayleigh",

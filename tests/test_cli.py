@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import subeigen as se
+from subeigen import cli
 from subeigen.cli import main
 from conftest import fail_inner_solve_on_call
 
@@ -64,6 +65,20 @@ def test_trace_csv_columns(tmp_path):
     assert all(b <= a * (1 + 1e-7) for a, b in zip(mus, mus[1:]))
 
 
+def test_rayleigh_trace_csv_ends_at_lambda_hat(tmp_path):
+    out = tmp_path / "run"
+    main(["--group", "euclidean2", "--box", "0,1,0,1", "--resolution", "8,8",
+          "--p", "2", "--q", "2", "--method", "rayleigh", "--out", str(out)])
+    summary = read_summary(out)
+    with open(out / "trace.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == summary["outer_iters"]
+    assert float(rows[-1][1]) == summary["lambda_hat"]
+    assert float(rows[-1][5]) == summary["residual"]
+    # one-value columns appear on the last row only
+    assert all(r[2] == "" and r[5] == "" for r in rows[:-1])
+
+
 def test_dump_field(tmp_path):
     out = tmp_path / "run"
     main(["--group", "euclidean2", "--box", "0,1,0,1", "--resolution", "5,5",
@@ -84,6 +99,21 @@ def test_oracle_flag(tmp_path):
     # oracle refuses large grids
     assert main(["--group", "euclidean2", "--box", "0,1,0,1", "--resolution", "8,8",
                  "--p", "2", "--q", "2", "--out", str(tmp_path / "y"), "--oracle"]) == 1
+
+
+def test_oracle_grid_cap_checked_before_solve(tmp_path, monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver ran before the --oracle grid check")
+
+    monkeypatch.setattr(cli, "inverse_iteration", no_solve)
+    out = tmp_path / "run"
+    code = main(["--group", "euclidean2", "--box", "0,1,0,1", "--resolution", "20,20",
+                 "--p", "2", "--q", "2", "--out", str(out), "--oracle"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+    assert not (out / "summary.json").exists()
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as sla
 
 import subeigen as se
 from conftest import chain_grid, fail_inner_solve_on_call, random_field
@@ -45,8 +46,9 @@ def test_inverse_iteration_square_anchor():
 
 
 def test_inverse_iteration_traces_monotone():
+    cube = se.build_grid("heisenberg1", [(0, 1), (0, 1), (0, 1)], (8, 8, 8))
     for grid, p, q in ((small_square(), 2.0, 2.0), (small_square(), 1.5, 2.0),
-                       (small_square(), 3.0, 3.0)):
+                       (small_square(), 3.0, 3.0), (cube, 2.0, 2.0), (cube, 3.0, 3.0)):
         cfg = se.SolverConfig(grid=grid, p=p, q=q)
         r = se.inverse_iteration(cfg)
         slack = 10 * cfg.tol_inner
@@ -54,6 +56,26 @@ def test_inverse_iteration_traces_monotone():
         assert all(un <= mu * (1 + slack) for un, mu in zip(r.unorm_trace, r.mu_trace))
         assert abs(r.unorm_trace[-1] - r.mu_trace[-1]) <= 1e-4 * r.lambda_hat
         assert r.converged
+
+
+def test_inverse_iteration_heisenberg_p2_outer_steps():
+    # the gap lambda_2 / lambda_1 is only ~1.05 here; plain inverse iteration
+    # needs 114 outer steps
+    grid = se.build_grid("heisenberg1", [(0, 1), (0, 1), (0, 1)], (16, 16, 16))
+    r = se.inverse_iteration(se.SolverConfig(grid=grid, p=2.0, q=2.0))
+    lam = sla.eigsh(grid.stiffness_p2, k=1, sigma=0, return_eigenvectors=False)[0]
+    assert r.converged
+    assert r.outer_iters <= 30
+    assert r.lambda_hat == pytest.approx(lam, rel=1e-8)
+
+
+def test_inverse_iteration_heisenberg_q3_converges():
+    # reference: unaccelerated inverse iteration with max_outer=5000, as
+    # recorded in perfbench/workloads.py
+    grid = se.build_grid("heisenberg1", [(0, 1), (0, 1), (0, 1)], (12, 12, 12))
+    r = se.inverse_iteration(se.SolverConfig(grid=grid, p=2.0, q=3.0))
+    assert r.converged
+    assert r.lambda_hat == pytest.approx(10.3541590098619, rel=1e-8)
 
 
 def test_inverse_iteration_eigenfunction_contract():

@@ -34,4 +34,4 @@ exact = (1.0 / se.lq_norm(exact, 2.0)) * exact
 print(f"\nconverged in {result.outer_iters} outer iterations, residual {result.residual:.2e}")
 print(f"eigenfunction sup deviation from normalized sin*sin: "
       f"{np.max(np.abs(u.values - exact.values)):.2e}")
-print(f"mu trace (nonincreasing): {['%.6f' % m for m in result.mu_trace[:6]]} ...")
+print(f"mu trace (nonincreasing): {['%.6f' % rec.mu for rec in result.history[:6]]} ...")

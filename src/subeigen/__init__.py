@@ -28,6 +28,7 @@ from .diagnostics import (
 )
 from .eigensolver import (
     EigenResult,
+    IterationRecord,
     SolverConfig,
     inverse_iteration,
     rayleigh_minimize,
@@ -67,8 +68,8 @@ __all__ = [
     "horizontal_gradient", "p_energy", "lq_norm", "dump_field_csv",
     "DualField", "apply_A", "apply_B", "pairing", "residual",
     "InnerConfig", "ConvergenceError", "solve_inner", "solve_linear_cg",
-    "SolverConfig", "EigenResult", "inverse_iteration", "rayleigh_minimize",
-    "rayleigh_quotient",
+    "SolverConfig", "EigenResult", "IterationRecord", "inverse_iteration",
+    "rayleigh_minimize", "rayleigh_quotient",
     "RegularityReport", "estimate_sobolev_constant", "linf_threshold",
     "level_set_measure", "positivity_check", "regularity_report",
     "OracleResult", "brute_force_lambda",

@@ -6,18 +6,19 @@ mirror the config fields one to one.  A run writes into --out:
 * ``summary.json`` -- group/box/resolution/exponents, lambda_hat, residual,
   convergence flag, iteration count, runtime, the regularity report, and
   (method = both) both method values with their relative gap.
-* ``trace.csv`` -- per outer iteration: n, mu_n, unorm_p, lq_change,
-  inner_iters, residual (for --method rayleigh, unorm_p and residual of
-  the returned iterate on the last row only).
+* ``trace.csv`` -- the solver's history, one row per outer step: n, mu_n,
+  unorm_p, lq_change, inner_iters, residual, with an empty cell where the
+  method has no value (rayleigh's unorm_p and residual before the last row).
 * ``field.csv`` (--dump-field) -- eigenfunction node values with coordinates.
 * ``results.csv`` (sweep mode) -- one row per (p, q) pair in lexicographic
   order; out-of-window pairs are skipped with a warning.
 
 Exit codes: 0 converged, 2 ran but not converged (results still written;
 an inner solve that fails after the first outer step ends a run this way),
-1 configuration or validation error, or an inner solve that fails on the
-first outer step.  Identical config and seed give byte-identical outputs
-except for the runtime_seconds field.
+1 configuration or validation error (including out-of-range solver
+settings), or an inner solve that fails on the first outer step.
+Identical config and seed give byte-identical outputs except for the
+runtime_seconds field.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .diagnostics import regularity_report, report_to_dict
+from .diagnostics import regularity_report
 from .eigensolver import EigenResult, SolverConfig, inverse_iteration, rayleigh_minimize
 from .groups import check_regime, get_group
 from .inner_solver import ConvergenceError
@@ -83,7 +84,8 @@ class RunConfig:
 
 
 def _float_repr(x) -> str:
-    return repr(float(x))
+    """CSV cell for a float; None, a value the method lacks, is empty."""
+    return "" if x is None else repr(float(x))
 
 
 def _solver_config(cfg: RunConfig, grid, p: float, q: float) -> SolverConfig:
@@ -94,20 +96,13 @@ def _solver_config(cfg: RunConfig, grid, p: float, q: float) -> SolverConfig:
 
 
 def _write_trace(result: EigenResult, path: Path) -> None:
-    """One row per outer step.  A trace shorter than outer_iters (rayleigh's
-    one-value unorm_trace and residual_trace) fills only the last rows."""
-    n_rows = result.outer_iters
-    columns = [(result.mu_trace, _float_repr), (result.unorm_trace, _float_repr),
-               (result.change_trace, _float_repr), (result.inner_iters_trace, str),
-               (result.residual_trace, _float_repr)]
+    """One row per history record, its fields in order."""
     with open(path, "w", newline="") as fh:
         fh.write("n,mu_n,unorm_p,lq_change,inner_iters,residual\n")
-        for n in range(n_rows):
-            cells = [str(n)]
-            for trace, fmt in columns:
-                k = n - (n_rows - len(trace))
-                cells.append(fmt(trace[k]) if k >= 0 else "")
-            fh.write(",".join(cells) + "\n")
+        for n, rec in enumerate(result.history):
+            fh.write(f"{n},{_float_repr(rec.mu)},{_float_repr(rec.unorm)},"
+                     f"{_float_repr(rec.change)},{rec.inner_iters},"
+                     f"{_float_repr(rec.residual)}\n")
 
 
 def run(cfg: RunConfig) -> int:
@@ -122,15 +117,16 @@ def run(cfg: RunConfig) -> int:
         print(f"error: --oracle needs at most {NODE_CAP} interior nodes, "
               f"grid has {grid.n_nodes}", file=sys.stderr)
         return 1
+    solver_cfg = _solver_config(cfg, grid, cfg.p, cfg.q)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
     results: dict[str, EigenResult] = {}
     if cfg.method in ("inverse", "both"):
-        results["inverse"] = inverse_iteration(_solver_config(cfg, grid, cfg.p, cfg.q))
+        results["inverse"] = inverse_iteration(solver_cfg)
     if cfg.method in ("rayleigh", "both"):
-        results["rayleigh"] = rayleigh_minimize(_solver_config(cfg, grid, cfg.p, cfg.q))
+        results["rayleigh"] = rayleigh_minimize(solver_cfg)
     runtime = time.perf_counter() - t0
 
     primary = results.get("inverse", results.get("rayleigh"))
@@ -147,7 +143,7 @@ def run(cfg: RunConfig) -> int:
         "outer_iters": primary.outer_iters,
         "residual": primary.residual,
         "runtime_seconds": runtime,
-        "regularity": report_to_dict(report),
+        "regularity": dataclasses.asdict(report),
     }
     if cfg.method == "both":
         li, lr = results["inverse"].lambda_hat, results["rayleigh"].lambda_hat
@@ -189,11 +185,12 @@ def sweep(cfg: RunConfig) -> int:
         return 1
 
     grid = build_grid(group, [tuple(ax) for ax in cfg.box], cfg.resolution)
+    solver_cfgs = {(p, q): _solver_config(cfg, grid, p, q) for p, q in pairs}
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     solver = rayleigh_minimize if cfg.method == "rayleigh" else inverse_iteration
-    results = {(p, q): solver(_solver_config(cfg, grid, p, q)) for p, q in pairs}
+    results = {pair: solver(solver_cfg) for pair, solver_cfg in solver_cfgs.items()}
 
     with open(out / "results.csv", "w", newline="") as fh:
         fh.write("p,q,lambda_hat,residual,outer_iters,converged\n")
@@ -273,7 +270,7 @@ def main(argv=None) -> int:
         if cfg.sweep_p is not None or cfg.sweep_q is not None:
             return sweep(cfg)
         return run(cfg)
-    except ConvergenceError as exc:
+    except (ConvergenceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

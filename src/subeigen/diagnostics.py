@@ -34,7 +34,6 @@ __all__ = [
     "decay_inequality_checks",
     "regularity_report",
     "embedding_ratio",
-    "report_to_dict",
 ]
 
 
@@ -207,15 +206,3 @@ def regularity_report(u: Field, lam: float, p: float, q: float,
         min_on_core=c,
         positive=positive,
     )
-
-
-def report_to_dict(report: RegularityReport) -> dict:
-    return {
-        "sup_norm": report.sup_norm,
-        "k_threshold": report.k_threshold,
-        "case_tag": report.case_tag,
-        "alpha": report.alpha,
-        "level_measures": [[k, m] for k, m in report.level_measures],
-        "min_on_core": report.min_on_core,
-        "positive": report.positive,
-    }

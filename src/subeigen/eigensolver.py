@@ -20,13 +20,14 @@ Two independent routes to the same minimum of the Rayleigh quotient
   each step, with a monotone Armijo line search on R.
 
 Both return an EigenResult whose eigenfunction has unit L^q norm and
-nonnegative node sum (sign fixed for deterministic output).
+nonnegative node sum (sign fixed for deterministic output), and whose
+history holds one IterationRecord per outer step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .operators import apply_A, apply_B, residual
 
 __all__ = [
     "SolverConfig",
+    "IterationRecord",
     "EigenResult",
     "rayleigh_quotient",
     "inverse_iteration",
@@ -68,29 +70,61 @@ class SolverConfig:
             raise ValueError(f"requires q > 1, got q = {self.q}")
         if self.tol_inner is None:
             self.tol_inner = 1e-8 if self.p == 2.0 else 1e-6
+        if self.tol_inner <= 0:
+            raise ValueError(f"tol_inner must be positive, got {self.tol_inner}")
         if self.tol_outer <= 0:
             raise ValueError(f"tol_outer must be positive, got {self.tol_outer}")
+        if self.eps_floor < 0:
+            raise ValueError(f"eps_floor must be nonnegative, got {self.eps_floor}")
+        if self.max_outer < 1:
+            raise ValueError(f"max_outer must be at least 1, got {self.max_outer}")
 
     def inner_config(self) -> InnerConfig:
         return default_inner_config(self.p, tol_grad=self.tol_inner,
                                     max_iters=self.max_inner, eps_floor=self.eps_floor)
 
 
+@dataclass(frozen=True)
+class IterationRecord:
+    """One outer step, whose n is its index in EigenResult.history; the
+    fields are the remaining trace.csv columns.  unorm is the exact quotient
+    of the next (unit-norm) iterate; None marks a value the method does not
+    compute at that step."""
+
+    mu: float
+    unorm: float | None
+    change: float
+    inner_iters: int
+    residual: float | None
+
+
 @dataclass
 class EigenResult:
-    """Converged (or best-effort) eigenpair with its iteration history."""
+    """Converged (or best-effort) eigenpair with its iteration history;
+    lambda_hat and residual are those of the last record."""
 
-    lambda_hat: float
     eigenfunction: Field
-    mu_trace: list[float]
-    unorm_trace: list[float]
-    change_trace: list[float]
-    residual: float
+    history: list[IterationRecord]
     converged: bool
-    outer_iters: int
-    inner_iters_trace: list[int] = field(default_factory=list)
-    residual_trace: list[float] = field(default_factory=list)
-    method: str = ""
+    method: str
+
+    @property
+    def lambda_hat(self) -> float:
+        return self.history[-1].mu
+
+    @property
+    def residual(self) -> float:
+        return self.history[-1].residual
+
+    @property
+    def outer_iters(self) -> int:
+        return len(self.history)
+
+    # The benchmark harness in perfbench/ sums this per solve to cross-check
+    # its own inner-iteration count, so the name stays as a derived view.
+    @property
+    def inner_iters_trace(self) -> list[int]:
+        return [rec.inner_iters for rec in self.history]
 
 
 def rayleigh_quotient(u: Field, p: float, q: float) -> float:
@@ -111,14 +145,24 @@ def normalize(u: Field, q: float) -> Field:
     return Field(u.grid, vals)
 
 
-def _default_start(grid: Grid, q: float) -> Field:
-    """Normalized product-tent bump: strictly positive, peaked at the box center."""
-    def tent(*coords):
-        out = np.ones_like(coords[0])
-        for j, (lo, hi) in enumerate(grid.box):
-            out = out * (1.0 - np.abs(2.0 * (coords[j] - lo) / (hi - lo) - 1.0))
-        return out
-    return normalize(Field.from_function(grid, tent), q)
+def _start_iterate(grid: Grid, q: float, start: Field | str) -> Field:
+    """Normalized start iterate; "default" is the product-tent bump, strictly
+    positive and peaked at the box center."""
+    if isinstance(start, str):
+        if start != "default":
+            raise ValueError(f"unknown start {start!r}")
+
+        def tent(*coords):
+            out = np.ones_like(coords[0])
+            for j, (lo, hi) in enumerate(grid.box):
+                out = out * (1.0 - np.abs(2.0 * (coords[j] - lo) / (hi - lo) - 1.0))
+            return out
+        start = Field.from_function(grid, tent)
+    elif start.grid != grid:
+        raise ValueError("start iterate lives on a different grid")
+    elif not np.any(start.values):
+        raise ValueError("start iterate must be nonzero")
+    return normalize(start, q)
 
 
 # Anderson mixing depth: the number of past differences the extrapolation
@@ -153,8 +197,8 @@ def inverse_iteration(cfg: SolverConfig, w0: Field | str = "default") -> EigenRe
     only if it is finite, nonzero and R(w_{n+1}) <= R(g_n) with R the exact
     (eps = 0) quotient; otherwise w_{n+1} = g_n and the history restarts
     from (w_n, g_n).  Since R(g_n) <= mu_n <= R(w_n) for unit-norm w_n, the
-    safeguard keeps mu_trace nonincreasing and unorm_trace[n] = R(w_{n+1})
-    below mu_n.  change_trace holds the fixed-point residual
+    safeguard keeps the records' mu nonincreasing and unorm = R(w_{n+1})
+    below mu_n.  Record n's change is the fixed-point residual
     ||g_n - w_n||_q, and the next solve is warm-started from
     w_{n+1} mu_n^{1/(1-p)}.
 
@@ -167,35 +211,20 @@ def inverse_iteration(cfg: SolverConfig, w0: Field | str = "default") -> EigenRe
     inner solution signals a solver defect and raises RuntimeError.
     """
     p, q = cfg.p, cfg.q
-    if isinstance(w0, str):
-        if w0 != "default":
-            raise ValueError(f"unknown start {w0!r}")
-        w = _default_start(cfg.grid, q)
-    else:
-        if w0.grid != cfg.grid:
-            raise ValueError("start iterate lives on a different grid")
-        if not np.any(w0.values):
-            raise ValueError("start iterate must be nonzero")
-        w = normalize(w0, q)
+    w = _start_iterate(cfg.grid, q, w0)
     icfg = cfg.inner_config()
 
-    mu_trace: list[float] = []
-    unorm_trace: list[float] = []
-    change_trace: list[float] = []
-    inner_iters: list[int] = []
-    resid_trace: list[float] = []
+    history: list[IterationRecord] = []
     ws: list[np.ndarray] = []
     gs: list[np.ndarray] = []
     converged = False
-    mu_prev = None
     g = warm = None
     for _ in range(cfg.max_outer):
-        rhs = apply_B(w, q)
         stats: dict = {}
         try:
-            z = solve_inner(rhs, p, icfg, x0=warm, stats=stats)
+            z = solve_inner(apply_B(w, q), p, icfg, x0=warm, stats=stats)
         except ConvergenceError:
-            if not mu_trace:
+            if not history:
                 raise
             break
         znorm = lq_norm(z, q)
@@ -214,33 +243,18 @@ def inverse_iteration(cfg: SolverConfig, w0: Field | str = "default") -> EigenRe
             w_next, R_next = cand, R_cand
         else:
             ws, gs = ws[-1:], gs[-1:]
-        mu_trace.append(mu)
-        unorm_trace.append(R_next)
-        change_trace.append(lq_norm(g - w, q))
-        inner_iters.append(int(stats.get("iters", 0)))
-        resid_trace.append(residual(g, mu, p, q))
+        change = lq_norm(g - w, q)
+        history.append(IterationRecord(mu, R_next, change, int(stats.get("iters", 0)),
+                                       residual(g, mu, p, q)))
         # warm start the next solve near the expected fixed point z* = mu^{1/(1-p)} w
         warm = w_next * (mu ** (1.0 / (1.0 - p)))
         w = w_next
-        if mu_prev is not None:
-            if abs(mu_prev - mu) <= cfg.tol_outer * mu and change_trace[-1] <= cfg.tol_outer:
-                converged = True
-                break
-        mu_prev = mu
+        if (len(history) > 1 and abs(history[-2].mu - mu) <= cfg.tol_outer * mu
+                and change <= cfg.tol_outer):
+            converged = True
+            break
 
-    return EigenResult(
-        lambda_hat=mu_trace[-1],
-        eigenfunction=g,
-        mu_trace=mu_trace,
-        unorm_trace=unorm_trace,
-        change_trace=change_trace,
-        residual=resid_trace[-1],
-        converged=converged,
-        outer_iters=len(mu_trace),
-        inner_iters_trace=inner_iters,
-        residual_trace=resid_trace,
-        method="inverse",
-    )
+    return EigenResult(g, history, converged, "inverse")
 
 
 def rayleigh_minimize(cfg: SolverConfig, u0: Field | str = "default") -> EigenResult:
@@ -248,22 +262,14 @@ def rayleigh_minimize(cfg: SolverConfig, u0: Field | str = "default") -> EigenRe
 
     The descent direction at a normalized iterate is the quotient gradient
     A(u) - R(u) B(u); steps are renormalized and accepted only on sufficient
-    decrease of R, so the quotient trace is nonincreasing by construction;
-    mu_trace[n] is the quotient after step n.  unorm_trace and
-    residual_trace hold one value each, for the returned iterate.  Stops
-    after 5 consecutive steps with relative change <= tol_outer.
+    decrease of R, so the records' mu (the quotient after each step) are
+    nonincreasing by construction and inner_iters counts the line-search
+    evaluations.  Only the last record carries unorm and residual, of the
+    returned iterate.  Stops after 5 consecutive steps with relative change
+    <= tol_outer.
     """
     p, q = cfg.p, cfg.q
-    if isinstance(u0, str):
-        if u0 != "default":
-            raise ValueError(f"unknown start {u0!r}")
-        u = _default_start(cfg.grid, q)
-    else:
-        if u0.grid != cfg.grid:
-            raise ValueError("start iterate lives on a different grid")
-        if not np.any(u0.values):
-            raise ValueError("start iterate must be nonzero")
-        u = normalize(u0, q)
+    u = _start_iterate(cfg.grid, q, u0)
 
     eps_grad = cfg.eps_floor if p < 2 else 0.0
     max_iters = 10 * cfg.max_outer
@@ -271,9 +277,7 @@ def rayleigh_minimize(cfg: SolverConfig, u0: Field | str = "default") -> EigenRe
     vol = cfg.grid.cell_volume
 
     R = rayleigh_quotient(u, p, q)
-    quot_trace: list[float] = []
-    change_trace: list[float] = []
-    evals_trace: list[int] = []
+    history: list[IterationRecord] = []
     tau = 1.0 / float(np.max(cfg.grid.stiffness_diagonal))
     patience = 0
     converged = False
@@ -290,41 +294,26 @@ def rayleigh_minimize(cfg: SolverConfig, u0: Field | str = "default") -> EigenRe
         gsq = float(np.dot(d, d))
         step = tau
         accepted = False
-        evals = 0
         u_new, R_new = u, R
-        for _ in range(60):
+        for evals in range(1, 61):
             trial = normalize(Field(cfg.grid, u.values - step * d), q)
             R_trial = rayleigh_quotient(trial, p, q)
-            evals += 1
             if R_trial <= R - 1e-4 * step * p * vol * gsq:
                 u_new, R_new, accepted = trial, R_trial, True
                 break
             step *= 0.5
-        evals_trace.append(evals)
         rel_change = abs(R - R_new) / max(R_new, 1e-300)
+        change = 0.0
         if accepted:
             u_prev_vals, g_prev = u.values, d
-            change_trace.append(lq_norm(u_new - u, q))
+            change = lq_norm(u_new - u, q)
             u, R = u_new, R_new
-        else:
-            change_trace.append(0.0)
-        quot_trace.append(R)
+        history.append(IterationRecord(R, None, change, evals, None))
         patience = patience + 1 if rel_change <= cfg.tol_outer else 0
         if patience >= patience_needed:
             converged = True
             break
 
-    res = residual(u, R, p, q)
-    return EigenResult(
-        lambda_hat=R,
-        eigenfunction=u,
-        mu_trace=quot_trace,
-        unorm_trace=[p_energy(u, p, 0.0)],
-        change_trace=change_trace,
-        residual=res,
-        converged=converged,
-        outer_iters=len(quot_trace),
-        inner_iters_trace=evals_trace,
-        residual_trace=[res],
-        method="rayleigh",
-    )
+    history[-1] = replace(history[-1], unorm=p_energy(u, p, 0.0),
+                          residual=residual(u, R, p, q))
+    return EigenResult(u, history, converged, "rayleigh")

@@ -69,12 +69,12 @@ def test_criterion_2_iteration_monotonicity():
         cfg = se.SolverConfig(grid=grid, p=p, q=q)
         r = se.inverse_iteration(cfg)
         slack = 10 * cfg.tol_inner
-        mono = all(b <= a * (1 + slack) for a, b in zip(r.mu_trace, r.mu_trace[1:]))
-        squeeze = all(un <= mu * (1 + slack)
-                      for un, mu in zip(r.unorm_trace, r.mu_trace))
-        tail = abs(r.unorm_trace[-1] - r.mu_trace[-1]) <= 1e-4 * r.lambda_hat
+        h = r.history
+        mono = all(b.mu <= a.mu * (1 + slack) for a, b in zip(h, h[1:]))
+        squeeze = all(rec.unorm <= rec.mu * (1 + slack) for rec in h)
+        tail = abs(h[-1].unorm - h[-1].mu) <= 1e-4 * r.lambda_hat
         ok &= mono and squeeze and tail and r.converged
-        worst = max(worst, abs(r.unorm_trace[-1] - r.mu_trace[-1]) / r.lambda_hat)
+        worst = max(worst, abs(h[-1].unorm - h[-1].mu) / r.lambda_hat)
     report("2 iteration monotonicity", ok,
            f"{len(configs)} configs, worst trace gap {worst:.2e}")
 

@@ -215,6 +215,20 @@ def test_inner_failure_exit_code(tmp_path, monkeypatch):
         assert len(list(csv.reader(fh))) == 1 + 2
 
 
+@pytest.mark.parametrize("flags", [["--max-outer", "0"], ["--tol-outer", "0"],
+                                   ["--tol-inner", "0"], ["--eps-floor", "-1"]])
+def test_out_of_range_solver_setting_is_an_error(tmp_path, capsys, flags):
+    out = tmp_path / "run"
+    code = main(["--group", "euclidean2", "--box", "0,1,0,1", "--resolution", "4,4",
+                 "--p", "3", "--q", "2", *flags, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert not (out / "summary.json").exists()
+
+
 def test_first_inner_failure_is_an_error(tmp_path, capsys):
     code = main(["--group", "euclidean2", "--box", "0,1,0,1", "--resolution", "6,6",
                  "--p", "3", "--q", "2", "--max-inner", "1", "--out", str(tmp_path / "run")])

@@ -52,9 +52,10 @@ def test_inverse_iteration_traces_monotone():
         cfg = se.SolverConfig(grid=grid, p=p, q=q)
         r = se.inverse_iteration(cfg)
         slack = 10 * cfg.tol_inner
-        assert all(b <= a * (1 + slack) for a, b in zip(r.mu_trace, r.mu_trace[1:]))
-        assert all(un <= mu * (1 + slack) for un, mu in zip(r.unorm_trace, r.mu_trace))
-        assert abs(r.unorm_trace[-1] - r.mu_trace[-1]) <= 1e-4 * r.lambda_hat
+        h = r.history
+        assert all(b.mu <= a.mu * (1 + slack) for a, b in zip(h, h[1:]))
+        assert all(rec.unorm <= rec.mu * (1 + slack) for rec in h)
+        assert abs(h[-1].unorm - h[-1].mu) <= 1e-4 * r.lambda_hat
         assert r.converged
 
 
@@ -84,7 +85,9 @@ def test_inverse_iteration_eigenfunction_contract():
     assert se.lq_norm(r.eigenfunction, 2.0) == pytest.approx(1.0, abs=1e-10)
     assert float(np.sum(r.eigenfunction.values)) >= 0.0
     assert r.residual <= 1e-4
-    assert r.outer_iters == len(r.mu_trace)
+    assert r.lambda_hat == r.history[-1].mu
+    assert r.residual == r.history[-1].residual
+    assert r.outer_iters == len(r.history)
 
 
 def test_inverse_iteration_tiny_grid_matches_oracle():
@@ -151,8 +154,13 @@ def test_rayleigh_minimize_square_anchor():
 def test_rayleigh_minimize_quotient_monotone():
     cfg = se.SolverConfig(grid=small_square(), p=2.5, q=2.0)
     r = se.rayleigh_minimize(cfg)
-    assert all(b <= a * (1 + 1e-14) for a, b in zip(r.mu_trace, r.mu_trace[1:]))
+    h = r.history
+    assert all(b.mu <= a.mu * (1 + 1e-14) for a, b in zip(h, h[1:]))
     assert se.lq_norm(r.eigenfunction, 2.0) == pytest.approx(1.0, abs=1e-10)
+    assert r.lambda_hat == h[-1].mu
+    assert r.residual == h[-1].residual
+    assert r.outer_iters == len(h)
+    assert all(rec.unorm is None and rec.residual is None for rec in h[:-1])
 
 
 def test_rayleigh_minimize_heisenberg_agreement():
@@ -202,3 +210,7 @@ def test_solver_config_validation(unit_square):
     assert cfg.tol_inner == 1e-8
     cfg2 = se.SolverConfig(grid=unit_square, p=2.5, q=2.0)
     assert cfg2.tol_inner == 1e-6
+    for setting in ({"max_outer": 0}, {"tol_inner": 0.0}, {"tol_outer": 0.0},
+                    {"eps_floor": -1.0}):
+        with pytest.raises(ValueError):
+            se.SolverConfig(grid=unit_square, p=3.0, q=2.0, **setting)

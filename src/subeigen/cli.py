@@ -28,6 +28,7 @@ import dataclasses
 import json
 import sys
 import time
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -44,8 +45,8 @@ __all__ = ["RunConfig", "run", "sweep", "main"]
 @dataclass
 class RunConfig:
     group: str = "euclidean2"
-    box: list = field(default_factory=lambda: [[0.0, 1.0], [0.0, 1.0]])
-    resolution: list = field(default_factory=lambda: [16, 16])
+    box: list[list[float]] = field(default_factory=lambda: [[0.0, 1.0], [0.0, 1.0]])
+    resolution: list[int] = field(default_factory=lambda: [16, 16])
     p: float = 2.0
     q: float = 2.0
     method: str = "inverse"  # inverse | rayleigh | both
@@ -58,8 +59,8 @@ class RunConfig:
     output_dir: str = "subeigen_out"
     dump_field: bool = False
     oracle: bool = False
-    sweep_p: list | None = None
-    sweep_q: list | None = None
+    sweep_p: list[float] | None = None
+    sweep_q: list[float] | None = None
 
     def validate(self) -> str | None:
         """Returns an error message naming the violated requirement, or None."""
@@ -81,6 +82,17 @@ class RunConfig:
         if self.sweep_p is None and self.sweep_q is None:
             return check_regime(self.p, self.q, group)
         return None
+
+
+def _conforms(value, kind) -> bool:
+    """Whether a JSON value has the annotated type; an int is a float, a bool no number."""
+    args = typing.get_args(kind)
+    if typing.get_origin(kind) is list:
+        return isinstance(value, list) and all(_conforms(v, args[0]) for v in value)
+    if args:
+        return any(_conforms(value, arg) for arg in args)
+    return isinstance(value, (int, float) if kind is float else kind) and (
+        kind is bool or not isinstance(value, bool))
 
 
 def _float_repr(x) -> str:
@@ -256,6 +268,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         elif name in ("sweep_p", "sweep_q"):
             value = _parse_floats(value)
         data[name] = value
+    hints = typing.get_type_hints(RunConfig)
+    for f in dataclasses.fields(RunConfig):
+        if f.name in data and not _conforms(data[f.name], hints[f.name]):
+            raise ValueError(f"config value {f.name} = {data[f.name]!r} is not {f.type}")
     return RunConfig(**data)
 
 

@@ -76,8 +76,9 @@ class SolverConfig:
             raise ValueError(f"tol_outer must be positive, got {self.tol_outer}")
         if self.eps_floor < 0:
             raise ValueError(f"eps_floor must be nonnegative, got {self.eps_floor}")
-        if self.max_outer < 1:
-            raise ValueError(f"max_outer must be at least 1, got {self.max_outer}")
+        if self.max_outer < 1 or self.max_inner < 1:
+            raise ValueError(f"max_outer and max_inner must be at least 1, got "
+                             f"{self.max_outer} and {self.max_inner}")
 
     def inner_config(self) -> InnerConfig:
         return default_inner_config(self.p, tol_grad=self.tol_inner,

@@ -6,10 +6,13 @@ The subproblem behind one inverse-iteration step asks for the unique z with
 
 i.e. the minimizer of J(z) = (1/p) * p_energy(z, p, eps) - <f, z>.  For
 p = 2 the operator is the linear SPD stiffness G^T G and a Jacobi
-preconditioned conjugate gradient is used; otherwise a Barzilai-Borwein
-gradient descent with Armijo backtracking runs through a decreasing eps
-schedule (warm-started), since the flux weight |grad z|^{p-2} degenerates
-(p > 2) or blows up (p < 2) where the gradient vanishes.
+preconditioned conjugate gradient is used.  Otherwise truncated Newton runs
+through a decreasing eps schedule (warm-started), since the flux weight
+|grad z|^{p-2} degenerates (p > 2) or blows up (p < 2) where the gradient
+vanishes.  Each Newton step solves G^T D G d = -grad J with the same
+conjugate gradient loop, preconditioned by the exact Hessian diagonal, to
+the relative forcing tolerance min(0.5, sqrt(||grad J|| / ||f||))
+(Eisenstat & Walker), then backtracks on J from the full step (Armijo).
 
 All tolerances are relative to the data: the reported solution satisfies
 ||A_eps(z) - f|| <= tol_grad * ||f|| on the node-value arrays.
@@ -21,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import EnergyState, Field, Grid
-from .operators import DualField
+from .mesh import EnergyState, Field, Grid, p_energy
+from .operators import DualField, pairing
 
 __all__ = [
     "InnerConfig",
@@ -55,7 +58,6 @@ class InnerConfig:
     tol_grad: float = 1e-8
     max_iters: int = 100_000
     eps_schedule: tuple[float, ...] = (1e-2, 1e-4, 1e-8)
-    method: str = "auto"  # auto | descent_bb
 
     def __post_init__(self):
         if self.tol_grad <= 0:
@@ -67,8 +69,6 @@ class InnerConfig:
             raise ValueError("eps_schedule entries must be nonnegative")
         if any(a < b for a, b in zip(sched, sched[1:])):
             raise ValueError(f"eps_schedule must be nonincreasing, got {sched}")
-        if self.method not in ("auto", "descent_bb"):
-            raise ValueError(f"unknown inner method {self.method!r}")
         self.eps_schedule = sched
 
     def validate_for(self, p: float) -> None:
@@ -91,9 +91,31 @@ def default_inner_config(p: float, tol_grad: float | None = None,
 
 def inner_objective(z: Field, f: DualField, p: float, eps: float) -> float:
     """J(z) = (1/p) p_energy(z, p, eps) - pairing(f, z)."""
-    from .mesh import p_energy
-    from .operators import pairing
     return p_energy(z, p, eps) / p - pairing(f, z)
+
+
+def _pcg(matvec, b: np.ndarray, Minv: np.ndarray, x: np.ndarray, tol: float,
+         max_iters: int) -> tuple[np.ndarray, float, int]:
+    """Conjugate gradient for the SPD system matvec(x) = b, preconditioned
+    by the diagonal inverse Minv, from x (updated in place).  Stops when
+    ||b - matvec(x)|| <= tol; returns (x, residual norm, iterations)."""
+    r = b - matvec(x) if x.any() else b.copy()
+    z = Minv * r
+    d = z.copy()
+    rz = float(np.dot(r, z))
+    for it in range(max_iters):
+        rnorm = float(np.linalg.norm(r))
+        if rnorm <= tol:
+            return x, rnorm, it
+        Kd = matvec(d)
+        alpha = rz / float(np.dot(d, Kd))
+        x += alpha * d
+        r -= alpha * Kd
+        z = Minv * r
+        rz_new = float(np.dot(r, z))
+        d = z + (rz_new / rz) * d
+        rz = rz_new
+    return x, float(np.linalg.norm(r)), max_iters
 
 
 def solve_linear_cg(f: DualField, cfg: InnerConfig, x0: Field | None = None,
@@ -103,134 +125,98 @@ def solve_linear_cg(f: DualField, cfg: InnerConfig, x0: Field | None = None,
     Stops when ||G^T G z - f|| <= tol_grad * ||f||; raises ConvergenceError
     at the iteration cap.  ``stats`` (when given) receives {"iters": count}.
     """
-    grid = f.grid
-    b = f.values
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        if stats is not None:
-            stats["iters"] = 0
-        return Field.zeros(grid)
-    K = grid.stiffness_p2
-    Minv = 1.0 / grid.stiffness_diagonal
-    x = np.zeros(grid.n_nodes) if x0 is None else x0.values.copy()
-    r = b - K @ x
-    z = Minv * r
-    d = z.copy()
-    rz = float(np.dot(r, z))
-    tol = cfg.tol_grad * bnorm
-    for it in range(cfg.max_iters):
-        if np.linalg.norm(r) <= tol:
-            if stats is not None:
-                stats["iters"] = it
-            return Field(grid, x)
-        Kd = K @ d
-        alpha = rz / float(np.dot(d, Kd))
-        x += alpha * d
-        r -= alpha * Kd
-        z = Minv * r
-        rz_new = float(np.dot(r, z))
-        d = z + (rz_new / rz) * d
-        rz = rz_new
+    grid, b = f.grid, f.values
+    tol = cfg.tol_grad * float(np.linalg.norm(b))
+    # the solution of f = 0 is 0, which a zero start reaches in no iterations
+    x = np.zeros(grid.n_nodes) if x0 is None or tol == 0.0 else x0.values.copy()
+    x, rnorm, iters = _pcg(lambda v: grid.stiffness_p2 @ v, b, 1.0 / grid.stiffness_diagonal,
+                           x, tol, cfg.max_iters)
     if stats is not None:
-        stats["iters"] = cfg.max_iters
-    if np.linalg.norm(r) <= tol:
+        stats["iters"] = iters
+    if rnorm <= tol:
         return Field(grid, x)
     raise ConvergenceError(
         f"CG did not reach tolerance {cfg.tol_grad:g} within {cfg.max_iters} iterations",
-        Field(grid, x), float(np.linalg.norm(r)),
+        Field(grid, x), rnorm,
     )
 
 
-def _bb_stage(grid: Grid, fvals: np.ndarray, z: np.ndarray, p: float, eps: float,
-              tol_abs: float, max_iters: int,
-              history: list | None) -> tuple[np.ndarray, float, bool, int]:
-    """Minimize J at fixed eps by BB steps with Armijo backtracking.
+def _newton_stage(grid: Grid, fvals: np.ndarray, z: np.ndarray, p: float, eps: float,
+                  tol_abs: float, max_iters: int,
+                  history: list | None) -> tuple[np.ndarray, float, int]:
+    """Minimize J at fixed eps by line-search Newton-PCG; returns (z,
+    grad_norm, iters) once grad_norm <= tol_abs or after max_iters steps.
 
-    Returns (z, grad_norm, stalled, iters); ``stalled`` means the line search
-    could not find further decrease.  Accepted objective values (volume
-    factor excluded) are appended to ``history`` when given.
+    J cannot judge a step whose predicted decrease -grad.d is below J's
+    rounding noise, so such a step is taken whole if it lowers ||grad J||.
+    If it does not, or backtracking shrinks the predicted decrease to that
+    noise, ConvergenceError ("line search stalled") is raised.  Accepted
+    objective values (volume factor excluded) go to ``history`` when given.
     """
+    fnorm = float(np.linalg.norm(fvals))
     state = EnergyState(grid, z, p, eps)
-    g = state.flux_divergence() - fvals
-    J = state.energy() / p - float(np.dot(fvals, z))
-    if history is not None:
-        history.append(J)
-    # conservative first step: inverse of the p = 2 diagonal times the worst flux weight
-    s_max = float(np.max(state.s))
-    tau = 1.0 / (float(np.max(grid.stiffness_diagonal)) * max(s_max ** ((p - 2.0) / 2.0), 1e-12))
-    z_prev = g_prev = None
-    flat_streak = 0
-    for it in range(max_iters):
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= tol_abs:
-            return z, gnorm, False, it
-        if z_prev is not None:
-            s = z - z_prev
-            y = g - g_prev
-            sy = float(np.dot(s, y))
-            if sy > 0:
-                tau = float(np.dot(s, s)) / sy
-        tau = min(max(tau, 1e-18), 1e18)
-        step = tau
-        accepted = False
-        for _ in range(120):
-            z_try = z - step * g
+    energy, fz = state.energy() / p, float(np.dot(fvals, z))
+    grad = state.flux_divergence() - fvals
+    for it in range(max_iters + 1):
+        if history is not None:
+            history.append(energy - fz)
+        gnorm = float(np.linalg.norm(grad))
+        if gnorm <= tol_abs or it == max_iters:
+            return z, gnorm, it
+        d, _, _ = _pcg(state.hessian_vector, -grad, 1.0 / state.hessian_diagonal(),
+                       np.zeros_like(z), min(0.5, np.sqrt(gnorm / fnorm)) * gnorm, grid.n_nodes)
+        decrement = -float(np.dot(grad, d))
+        noise = 64 * np.finfo(float).eps * (abs(energy) + abs(fz))
+        step, stalled = 1.0, False
+        while not stalled:
+            z_try = z + step * d
             trial = EnergyState(grid, z_try, p, eps)
-            J_try = trial.energy() / p - float(np.dot(fvals, z_try))
-            if J_try <= J - 1e-4 * step * gnorm * gnorm:
-                accepted = True
+            energy_try, fz_try = trial.energy() / p, float(np.dot(fvals, z_try))
+            if decrement <= noise or energy_try - fz_try <= energy - fz - 1e-4 * step * decrement:
                 break
             step *= 0.5
-        if not accepted:
-            return z, gnorm, True, it
-        # objective progress at the float noise floor cannot improve the gradient
-        flat_streak = flat_streak + 1 if J - J_try <= 8e-16 * abs(J) else 0
-        if flat_streak >= 50:
-            return z_try, gnorm, True, it
-        z_prev, g_prev = z, g
-        z, J = z_try, J_try
-        if history is not None:
-            history.append(J)
-        g = trial.flux_divergence() - fvals
-    return z, float(np.linalg.norm(g)), False, max_iters
+            stalled = not step * decrement > noise  # also stops on a NaN direction
+        grad_try = trial.flux_divergence() - fvals
+        if stalled or decrement <= noise and np.linalg.norm(grad_try) >= gnorm:
+            raise ConvergenceError(
+                f"inner solve missed tolerance {tol_abs / fnorm:g} (line search stalled; "
+                f"relative gradient {gnorm / fnorm:.3e})", Field(grid, z), gnorm)
+        z, state, energy, fz, grad = z_try, trial, energy_try, fz_try, grad_try
 
 
 def solve_inner(f: DualField, p: float, cfg: InnerConfig, x0: Field | None = None,
                 history: list | None = None, stats: dict | None = None) -> Field:
     """Minimize J(z) = (1/p) p_energy(z, p, eps) - <f, z>.
 
-    Dispatches to CG when p = 2 (unless cfg.method forces the descent path);
-    otherwise runs BB descent through cfg.eps_schedule with warm starts.
-    The returned field satisfies ||A_eps(z) - f|| <= tol_grad * ||f|| at the
-    final eps of the schedule.
+    Dispatches to CG when p = 2; otherwise runs truncated Newton through
+    cfg.eps_schedule with warm starts, cfg.max_iters capping the Newton
+    steps of each stage.  The returned field satisfies
+    ||A_eps(z) - f|| <= tol_grad * ||f|| at the final eps of the schedule;
+    ConvergenceError is raised when the cap is hit or the line search
+    stalls first.  ``stats`` (when given) receives {"iters": count}, the
+    CG iterations at p = 2 and the Newton steps summed over the eps stages
+    otherwise.
     """
     if p <= 1:
         raise ValueError(f"inner solve requires p > 1, got p = {p}")
     cfg.validate_for(p)
-    grid = f.grid
-    fnorm = float(np.linalg.norm(f.values))
-    if fnorm == 0.0:
-        if stats is not None:
-            stats["iters"] = 0
-        return Field.zeros(grid)
-    if p == 2.0 and cfg.method == "auto":
+    if p == 2.0:
         return solve_linear_cg(f, cfg, x0=x0, stats=stats)
-
-    z = np.zeros(grid.n_nodes) if x0 is None else x0.values.copy()
+    grid, fnorm = f.grid, float(np.linalg.norm(f.values))
     tol_abs = cfg.tol_grad * fnorm
+    # for f = 0 the zero start is the solution and every stage returns it at once
+    z = np.zeros(grid.n_nodes) if x0 is None or fnorm == 0.0 else x0.values.copy()
     total_iters = 0
     for i, eps in enumerate(cfg.eps_schedule):
         final = i == len(cfg.eps_schedule) - 1
         stage_tol = tol_abs if final else max(10.0 * tol_abs, 1e-3 * fnorm)
-        stage_cap = cfg.max_iters if final else max(200, cfg.max_iters // (4 * len(cfg.eps_schedule)))
-        z, gnorm, stalled, iters = _bb_stage(grid, f.values, z, p, eps, stage_tol, stage_cap,
-                                             history if final else None)
+        z, gnorm, iters = _newton_stage(grid, f.values, z, p, eps, stage_tol, cfg.max_iters,
+                                        history if final else None)
         total_iters += iters
         if final and gnorm > tol_abs:
-            reason = "line search stalled" if stalled else f"{cfg.max_iters} iterations exhausted"
             raise ConvergenceError(
-                f"inner solve missed tolerance {cfg.tol_grad:g} ({reason}; relative "
-                f"gradient {gnorm / fnorm:.3e})",
+                f"inner solve missed tolerance {cfg.tol_grad:g} ({cfg.max_iters} iterations "
+                f"exhausted; relative gradient {gnorm / fnorm:.3e})",
                 Field(grid, z), gnorm,
             )
     if stats is not None:

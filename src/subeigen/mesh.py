@@ -87,25 +87,21 @@ class Grid:
     def __repr__(self):
         return f"Grid({self.group.name}, box={self.box}, resolution={self.resolution})"
 
+    def _lattice_coordinates(self, first: int) -> np.ndarray:
+        """C-ordered coordinates of the lattice points with indices first..res_j per axis."""
+        axes = [lo + h * np.arange(first, r + 1)
+                for (lo, _), h, r in zip(self.box, self.spacings, self.resolution)]
+        return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+
     @cached_property
     def node_coordinates(self) -> np.ndarray:
         """(n_nodes, N) coordinates of interior nodes, C-ordered."""
-        axes = [
-            lo + self.spacings[j] * np.arange(1, r + 1)
-            for j, ((lo, _), r) in enumerate(zip(self.box, self.resolution))
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        return self._lattice_coordinates(1)
 
     @cached_property
     def site_coordinates(self) -> np.ndarray:
         """(n_sites, N) coordinates of forward-difference sites."""
-        axes = [
-            lo + self.spacings[j] * np.arange(0, r + 1)
-            for j, ((lo, _), r) in enumerate(zip(self.box, self.resolution))
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        return self._lattice_coordinates(0)
 
     def _axis_difference(self, axis: int) -> sp.csr_matrix:
         """Forward difference along one axis as an (n_sites, n_nodes) matrix.
@@ -160,6 +156,15 @@ class Grid:
     def stiffness_diagonal(self) -> np.ndarray:
         return np.asarray(self.stiffness_p2.diagonal())
 
+    @cached_property
+    def gradient_products(self) -> sp.csr_matrix:
+        """Entrywise products G_k * G_l of the gradient's component blocks,
+        stacked in row-major (k, l) order, so that the diagonal of G^T D G
+        is its transpose times the stacked per-site entries D_kl."""
+        G, m, n1 = self.gradient_matrix.tocsr(), self.n_sites, self.group.horizontal_dim
+        blocks = [G[k * m:(k + 1) * m] for k in range(n1)]
+        return sp.csr_matrix(sp.vstack([bk.multiply(bl) for bk in blocks for bl in blocks]))
+
     def core_mask(self, shrink: float) -> np.ndarray:
         """Boolean mask of nodes inside the box shrunk about its center."""
         if not 0.0 < shrink < 1.0:
@@ -193,8 +198,9 @@ def dilate_grid(grid: Grid, s: float) -> Grid:
 
 
 @dataclass(frozen=True)
-class Field:
-    """One real value per interior node; implicitly zero on the boundary."""
+class NodeVector:
+    """One real value per interior node, with grid-checked arithmetic that
+    keeps the type: the common base of Field and operators.DualField."""
 
     grid: Grid
     values: np.ndarray
@@ -202,10 +208,33 @@ class Field:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float).ravel()
         if vals.shape[0] != self.grid.n_nodes:
-            raise ValueError(
-                f"field has {vals.shape[0]} values, grid has {self.grid.n_nodes} nodes"
-            )
+            raise ValueError(f"{type(self).__name__} has {vals.shape[0]} values, "
+                             f"grid has {self.grid.n_nodes} nodes")
         object.__setattr__(self, "values", vals)
+
+    def __add__(self, other):
+        self._check(other)
+        return type(self)(self.grid, self.values + other.values)
+
+    def __sub__(self, other):
+        self._check(other)
+        return type(self)(self.grid, self.values - other.values)
+
+    def __mul__(self, t: float):
+        return type(self)(self.grid, self.values * float(t))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return type(self)(self.grid, -self.values)
+
+    def _check(self, other):
+        if self.grid != other.grid:
+            raise ValueError(f"{type(self).__name__} values live on different grids")
+
+
+class Field(NodeVector):
+    """One real value per interior node; implicitly zero on the boundary."""
 
     @classmethod
     def zeros(cls, grid: Grid) -> "Field":
@@ -220,26 +249,6 @@ class Field:
         """Sample ``fn`` at the interior nodes; fn takes one coordinate array per axis."""
         coords = grid.node_coordinates
         return cls(grid, fn(*(coords[:, j] for j in range(coords.shape[1]))))
-
-    def __add__(self, other: "Field") -> "Field":
-        self._check(other)
-        return Field(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "Field") -> "Field":
-        self._check(other)
-        return Field(self.grid, self.values - other.values)
-
-    def __mul__(self, t: float) -> "Field":
-        return Field(self.grid, self.values * float(t))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Field":
-        return Field(self.grid, -self.values)
-
-    def _check(self, other):
-        if self.grid != other.grid:
-            raise ValueError("fields live on different grids")
 
 
 @dataclass(frozen=True)
@@ -279,30 +288,52 @@ class EnergyState:
     """The regularized p-energy kernel at one node-value vector.
 
     Computes the site gradients g = G z once and s = |g|^2 + eps^2 from
-    them.  ``energy()`` is sum s^{p/2} and ``flux_divergence()`` is
-    G^T (s^{(p-2)/2} g), the gradient of energy()/p; both leave out the
-    cell volume.  Callers check p > 1 and eps >= 0.
+    them.  ``energy()`` is sum s^{p/2}, ``flux_divergence()`` is
+    G^T (a g), the gradient of energy()/p, and its Hessian is G^T D G,
+    where each site contributes the n1 x n1 block D = a I + b g g^T with
+    a = s^{(p-2)/2} and b = (p-2) s^{(p-4)/2}; ``hessian_vector(v)`` applies
+    it and ``hessian_diagonal()`` is its exact diagonal.  None of them
+    includes the cell volume.  Callers check p > 1 and eps >= 0.
     """
 
-    __slots__ = ("grid", "p", "g", "s")
+    __slots__ = ("grid", "p", "g", "s", "_weights")
 
     def __init__(self, grid: Grid, z: np.ndarray, p: float, eps: float):
         self.grid = grid
         self.p = p
         self.g = (grid.gradient_matrix @ z).reshape(grid.group.horizontal_dim, grid.n_sites)
         self.s = np.sum(self.g * self.g, axis=0) + eps * eps
+        self._weights = None
+
+    def weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """(a, b) per site, both 0 where s = 0: a g -> 0 as g -> 0 for every
+        p > 1, and the Hessian there is only needed for p >= 2."""
+        if self._weights is None:
+            s = self.s
+            if self.p < 2.0 and not s.all():
+                s = np.where(s == 0.0, np.inf, s)  # inf to the power (p-2)/2 < 0 is 0
+            a = s ** ((self.p - 2.0) / 2.0)
+            b = (self.p - 2.0) * np.divide(a, s, out=np.zeros_like(a), where=s > 0.0)
+            self._weights = a, b
+        return self._weights
 
     def energy(self) -> float:
         return float(np.sum(self.s ** (self.p / 2.0)))
 
     def flux_divergence(self) -> np.ndarray:
-        s = self.s
-        if self.p < 2.0 and not s.all():
-            # s^{(p-2)/2} g -> 0 as g -> 0 when p > 1, so the weight is 0 where
-            # s = 0; inf to the negative power (p-2)/2 gives exactly that 0
-            s = np.where(s == 0.0, np.inf, s)
-        w = s ** ((self.p - 2.0) / 2.0)
-        return self.grid.gradient_matrix.T @ (self.g * w[None, :]).ravel()
+        return self.grid.gradient_matrix.T @ (self.g * self.weights()[0]).ravel()
+
+    def hessian_vector(self, v: np.ndarray) -> np.ndarray:
+        a, b = self.weights()
+        h = (self.grid.gradient_matrix @ v).reshape(self.g.shape)
+        w = a * h + b * np.sum(self.g * h, axis=0) * self.g
+        return self.grid.gradient_matrix.T @ w.ravel()
+
+    def hessian_diagonal(self) -> np.ndarray:
+        a, b = self.weights()
+        n1 = len(self.g)
+        entries = [a * (k == l) + b * self.g[k] * self.g[l] for k in range(n1) for l in range(n1)]
+        return self.grid.gradient_products.T @ np.concatenate(entries)
 
 
 def p_energy(u: Field, p: float, eps: float = 0.0) -> float:

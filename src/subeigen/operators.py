@@ -15,49 +15,15 @@ exact discrete statements, not approximations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .mesh import EnergyState, Field, Grid, lq_norm, p_energy
+from .mesh import EnergyState, Field, NodeVector, lq_norm, p_energy
 
 __all__ = ["DualField", "apply_A", "apply_B", "pairing", "residual", "eigen_defect"]
 
 
-@dataclass(frozen=True)
-class DualField:
+class DualField(NodeVector):
     """A functional on fields, represented against the volume-weighted pairing."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float).ravel()
-        if vals.shape[0] != self.grid.n_nodes:
-            raise ValueError(
-                f"dual field has {vals.shape[0]} values, grid has {self.grid.n_nodes} nodes"
-            )
-        object.__setattr__(self, "values", vals)
-
-    def __add__(self, other: "DualField") -> "DualField":
-        self._check(other)
-        return DualField(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "DualField") -> "DualField":
-        self._check(other)
-        return DualField(self.grid, self.values - other.values)
-
-    def __mul__(self, t: float) -> "DualField":
-        return DualField(self.grid, self.values * float(t))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "DualField":
-        return DualField(self.grid, -self.values)
-
-    def _check(self, other):
-        if self.grid != other.grid:
-            raise ValueError("dual fields live on different grids")
 
 
 def apply_A(u: Field, p: float, eps: float = 0.0) -> DualField:

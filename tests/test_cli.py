@@ -191,6 +191,18 @@ def test_config_file_with_flag_override(tmp_path):
     assert main(["--config", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("config", [{"max_outer": "5"}, {"p": "3"}])
+def test_config_value_of_wrong_type_is_an_error(tmp_path, capsys, config):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    assert main(["--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+    assert not (out / "summary.json").exists()
+
+
 def test_nonconverged_exit_code(tmp_path):
     out = tmp_path / "run"
     code = main(["--group", "euclidean2", "--box", "0,1,0,1", "--resolution", "12,12",
@@ -216,7 +228,8 @@ def test_inner_failure_exit_code(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("flags", [["--max-outer", "0"], ["--tol-outer", "0"],
-                                   ["--tol-inner", "0"], ["--eps-floor", "-1"]])
+                                   ["--tol-inner", "0"], ["--eps-floor", "-1"],
+                                   ["--max-inner", "-1"]])
 def test_out_of_range_solver_setting_is_an_error(tmp_path, capsys, flags):
     out = tmp_path / "run"
     code = main(["--group", "euclidean2", "--box", "0,1,0,1", "--resolution", "4,4",

@@ -186,6 +186,15 @@ def test_oracle_lower_bound_certificate():
         assert quot >= oracle.lambda_star - 1e-6
 
 
+def test_tight_inner_tolerance_converges():
+    # at tol_inner = 1e-8 every inner solve must reach its tolerance, so the
+    # outer loop stops on its own test rather than on an inner failure
+    grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (4, 4))
+    for p, q in ((2.5, 2.0), (3.0, 3.0)):
+        cfg = se.SolverConfig(grid=grid, p=p, q=q, tol_outer=1e-9, tol_inner=1e-8)
+        assert se.inverse_iteration(cfg).converged
+
+
 def test_dilation_covariance_solver_level():
     # lambda(delta_s box) = s^(nu - p - nu p / q) lambda(box), exactly at the
     # discrete level; solver tolerances are the only slack
@@ -211,6 +220,6 @@ def test_solver_config_validation(unit_square):
     cfg2 = se.SolverConfig(grid=unit_square, p=2.5, q=2.0)
     assert cfg2.tol_inner == 1e-6
     for setting in ({"max_outer": 0}, {"tol_inner": 0.0}, {"tol_outer": 0.0},
-                    {"eps_floor": -1.0}):
+                    {"eps_floor": -1.0}, {"max_inner": 0}):
         with pytest.raises(ValueError):
             se.SolverConfig(grid=unit_square, p=3.0, q=2.0, **setting)

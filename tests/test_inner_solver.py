@@ -4,6 +4,7 @@ import pytest
 import subeigen as se
 from subeigen.inner_solver import (
     ConvergenceError,
+    _newton_stage,
     InnerConfig,
     default_inner_config,
     inner_objective,
@@ -73,14 +74,14 @@ def test_p4_matches_derivative_free_minimizer(rng):
     assert np.max(np.abs(z.values - best)) < 1e-6
 
 
-def test_cg_and_bb_agree_at_p2(rng):
+def test_cg_and_newton_agree_at_p2(rng):
     grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (4, 4))
     f = DualField(grid, rng.standard_normal(grid.n_nodes))
     tol = 1e-8
     z_cg = solve_linear_cg(f, default_inner_config(2.0, tol_grad=tol))
-    z_bb = solve_inner(f, 2.0, InnerConfig(tol_grad=tol, eps_schedule=(1e-2, 1e-4, 1e-8),
-                                           method="descent_bb"))
-    assert np.max(np.abs(z_cg.values - z_bb.values)) < 10 * tol
+    z_newton, _, _ = _newton_stage(grid, f.values, np.zeros(grid.n_nodes), 2.0, 1e-8,
+                                   tol * np.linalg.norm(f.values), 100, None)
+    assert np.max(np.abs(z_cg.values - z_newton)) < 10 * tol
 
 
 def test_energy_descent_history(rng):
@@ -128,4 +129,4 @@ def test_unreachable_tolerance_stalls_out(rng):
     grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (3, 3))
     f = DualField(grid, rng.standard_normal(9))
     with pytest.raises(ConvergenceError):
-        solve_inner(f, 4.0, default_inner_config(4.0, tol_grad=1e-15))
+        solve_inner(f, 4.0, default_inner_config(4.0, tol_grad=1e-20))

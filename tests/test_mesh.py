@@ -2,9 +2,18 @@ import csv
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import subeigen as se
 from conftest import chain_grid, random_field
+from subeigen.mesh import EnergyState
+
+KERNEL_GRIDS = (se.build_grid("euclidean2", [(0, 1), (0, 1)], (4, 4)),
+                se.build_grid("heisenberg1", [(0, 1), (0, 1), (0, 1)], (3, 3, 3)))
+kernel_cases = dict(grid=st.sampled_from(KERNEL_GRIDS), p=st.sampled_from((1.5, 3.0)),
+                    seed=st.integers(0, 2 ** 32 - 1))
 
 
 def test_build_grid_counts_euclidean():
@@ -189,3 +198,31 @@ def test_field_dump_csv(tmp_path, unit_cube_heis, rng):
     assert np.array_equal(got, u.values)
     coords = np.array([[float(c) for c in r[:3]] for r in rows[1:]])
     assert np.array_equal(coords, unit_cube_heis.node_coordinates)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(**kernel_cases)
+def test_hessian_vector_is_flux_derivative(grid, p, seed):
+    # central difference of the flux G^T(a g) along v; eps = 1e-2 keeps the
+    # truncation error (worst seen 2e-7 relative at h = 1e-6) far below the bound
+    rng = np.random.default_rng(seed)
+    z, v = rng.standard_normal((2, grid.n_nodes))
+    eps, h = 1e-2, 1e-6
+    Hv = EnergyState(grid, z, p, eps).hessian_vector(v)
+    fd = (EnergyState(grid, z + h * v, p, eps).flux_divergence()
+          - EnergyState(grid, z - h * v, p, eps).flux_divergence()) / (2 * h)
+    assert np.max(np.abs(Hv - fd)) <= 1e-5 * np.max(np.abs(Hv))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(**kernel_cases)
+def test_hessian_diagonal_matches_assembled_hessian(grid, p, seed):
+    # G^T D G assembled from the per-site blocks D = a I + b g g^T
+    z = np.random.default_rng(seed).standard_normal(grid.n_nodes)
+    state = EnergyState(grid, z, p, 1e-3)
+    a, b, g = state.s ** ((p - 2) / 2), (p - 2) * state.s ** ((p - 4) / 2), state.g
+    D = sp.bmat([[sp.diags(a * (k == l) + b * g[k] * g[l]) for l in range(len(g))]
+                 for k in range(len(g))])
+    G = grid.gradient_matrix
+    exact = (G.T @ D @ G).diagonal()
+    assert np.allclose(state.hessian_diagonal(), exact, rtol=1e-12, atol=0)

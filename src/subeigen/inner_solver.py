@@ -9,7 +9,9 @@ p = 2 the operator is the linear SPD stiffness G^T G and a Jacobi
 preconditioned conjugate gradient is used.  Otherwise truncated Newton runs
 through a decreasing eps schedule (warm-started), since the flux weight
 |grad z|^{p-2} degenerates (p > 2) or blows up (p < 2) where the gradient
-vanishes.  Each Newton step solves G^T D G d = -grad J with the same
+vanishes; a warm start at p < 2 tries the floor eps alone first and walks
+the schedule only if that stops making progress (adaptive continuation).
+Each Newton step solves G^T D G d = -grad J with the same
 conjugate gradient loop, preconditioned by the exact Hessian diagonal, to
 the relative forcing tolerance min(0.5, sqrt(||grad J|| / ||f||))
 (Eisenstat & Walker), then backtracks on J from the full step (Armijo).
@@ -73,6 +75,9 @@ class InnerConfig:
 
     def validate_for(self, p: float) -> None:
         last = self.eps_schedule[-1]
+        if p > 2 and self.eps_schedule[0] == 0.0:
+            raise ValueError("eps_schedule must start above 0 for p > 2: "
+                             "the eps = 0 Hessian vanishes at z = 0")
         if p < 2 and last == 0.0:
             raise ValueError("eps_schedule needs a strictly positive floor for p < 2")
         if p >= 2 and last > 1e-8:
@@ -142,21 +147,24 @@ def solve_linear_cg(f: DualField, cfg: InnerConfig, x0: Field | None = None,
 
 
 def _newton_stage(grid: Grid, fvals: np.ndarray, z: np.ndarray, p: float, eps: float,
-                  tol_abs: float, max_iters: int,
-                  history: list | None) -> tuple[np.ndarray, float, int]:
+                  tol_abs: float, max_iters: int, history: list | None,
+                  guarded: bool = False) -> tuple[np.ndarray, float, int]:
     """Minimize J at fixed eps by line-search Newton-PCG; returns (z,
     grad_norm, iters) once grad_norm <= tol_abs or after max_iters steps.
 
     J cannot judge a step whose predicted decrease -grad.d is below J's
     rounding noise, so such a step is taken whole if it lowers ||grad J||.
     If it does not, or backtracking shrinks the predicted decrease to that
-    noise, ConvergenceError ("line search stalled") is raised.  Accepted
-    objective values (volume factor excluded) go to ``history`` when given.
+    noise, ConvergenceError ("line search stalled") is raised; a ``guarded``
+    stage returns unconverged instead, and also at a Newton decrement not
+    below the previous one.  Accepted objective values (volume factor
+    excluded) go to ``history`` when given.
     """
     fnorm = float(np.linalg.norm(fvals))
     state = EnergyState(grid, z, p, eps)
     energy, fz = state.energy() / p, float(np.dot(fvals, z))
     grad = state.flux_divergence() - fvals
+    last_decrement = np.inf
     for it in range(max_iters + 1):
         if history is not None:
             history.append(energy - fz)
@@ -166,6 +174,9 @@ def _newton_stage(grid: Grid, fvals: np.ndarray, z: np.ndarray, p: float, eps: f
         d, _, _ = _pcg(state.hessian_vector, -grad, 1.0 / state.hessian_diagonal(),
                        np.zeros_like(z), min(0.5, np.sqrt(gnorm / fnorm)) * gnorm, grid.n_nodes)
         decrement = -float(np.dot(grad, d))
+        if guarded and not decrement < last_decrement:
+            return z, gnorm, it
+        last_decrement = decrement
         noise = 64 * np.finfo(float).eps * (abs(energy) + abs(fz))
         step, stalled = 1.0, False
         while not stalled:
@@ -178,6 +189,8 @@ def _newton_stage(grid: Grid, fvals: np.ndarray, z: np.ndarray, p: float, eps: f
             stalled = not step * decrement > noise  # also stops on a NaN direction
         grad_try = trial.flux_divergence() - fvals
         if stalled or decrement <= noise and np.linalg.norm(grad_try) >= gnorm:
+            if guarded:
+                return z, gnorm, it
             raise ConvergenceError(
                 f"inner solve missed tolerance {tol_abs / fnorm:g} (line search stalled; "
                 f"relative gradient {gnorm / fnorm:.3e})", Field(grid, z), gnorm)
@@ -190,12 +203,15 @@ def solve_inner(f: DualField, p: float, cfg: InnerConfig, x0: Field | None = Non
 
     Dispatches to CG when p = 2; otherwise runs truncated Newton through
     cfg.eps_schedule with warm starts, cfg.max_iters capping the Newton
-    steps of each stage.  The returned field satisfies
-    ||A_eps(z) - f|| <= tol_grad * ||f|| at the final eps of the schedule;
-    ConvergenceError is raised when the cap is hit or the line search
-    stalls first.  ``stats`` (when given) receives {"iters": count}, the
-    CG iterations at p = 2 and the Newton steps summed over the eps stages
-    otherwise.
+    steps of each stage.  Given x0 at p < 2, a guarded stage at the final
+    eps runs from x0 first; if it gives up (rising Newton decrement, cap or
+    stall), the schedule runs from x0.  Cold starts need the ladder to reach
+    the floor-eps basin; p > 2 keeps it because PCG on the floor-eps Hessian,
+    degenerate where the gradient vanishes, needs about twice the steps.
+    The result has ||A_eps(z) - f|| <= tol_grad * ||f|| at the final eps, or
+    the cap or a line-search stall raises ConvergenceError.  ``history`` gets
+    the final stage; ``stats`` (when given) gets {"iters": CG iterations at
+    p = 2, otherwise the Newton steps of every stage, abandoned ones included}.
     """
     if p <= 1:
         raise ValueError(f"inner solve requires p > 1, got p = {p}")
@@ -206,9 +222,17 @@ def solve_inner(f: DualField, p: float, cfg: InnerConfig, x0: Field | None = Non
     tol_abs = cfg.tol_grad * fnorm
     # for f = 0 the zero start is the solution and every stage returns it at once
     z = np.zeros(grid.n_nodes) if x0 is None or fnorm == 0.0 else x0.values.copy()
-    total_iters = 0
-    for i, eps in enumerate(cfg.eps_schedule):
-        final = i == len(cfg.eps_schedule) - 1
+    total_iters, schedule = 0, cfg.eps_schedule
+    if x0 is not None and p < 2 and fnorm > 0.0:
+        floor_history: list = []
+        z_floor, gnorm, total_iters = _newton_stage(grid, f.values, z, p, schedule[-1], tol_abs,
+                                                    cfg.max_iters, floor_history, guarded=True)
+        if gnorm <= tol_abs:
+            z, schedule = z_floor, ()
+            if history is not None:
+                history.extend(floor_history)
+    for i, eps in enumerate(schedule):
+        final = i == len(schedule) - 1
         stage_tol = tol_abs if final else max(10.0 * tol_abs, 1e-3 * fnorm)
         z, gnorm, iters = _newton_stage(grid, f.values, z, p, eps, stage_tol, cfg.max_iters,
                                         history if final else None)

@@ -223,3 +223,10 @@ def test_solver_config_validation(unit_square):
                     {"eps_floor": -1.0}, {"max_inner": 0}):
         with pytest.raises(ValueError):
             se.SolverConfig(grid=unit_square, p=3.0, q=2.0, **setting)
+
+
+def test_inverse_iteration_near_p1_converges():
+    # p = 1.1: the p < 2 weights s^{(p-2)/2} are nearly s^{-1/2} where grad z -> 0
+    r = se.inverse_iteration(se.SolverConfig(grid=small_square(32), p=1.1, q=2.0))
+    assert r.converged
+    assert r.lambda_hat == pytest.approx(4.597932271, rel=1e-6)

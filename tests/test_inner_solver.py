@@ -130,3 +130,75 @@ def test_unreachable_tolerance_stalls_out(rng):
     f = DualField(grid, rng.standard_normal(9))
     with pytest.raises(ConvergenceError):
         solve_inner(f, 4.0, default_inner_config(4.0, tol_grad=1e-20))
+
+
+def test_zero_starting_eps_rejected_above_p2():
+    # at z = 0 and eps = 0 the p > 2 Hessian vanishes, so Newton has no direction
+    grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (6, 6))
+    f = DualField(grid, np.ones(grid.n_nodes))
+    with pytest.raises(ValueError, match="start above 0 for p > 2"):
+        solve_inner(f, 3.0, InnerConfig(eps_schedule=(0.0,)))
+    InnerConfig(eps_schedule=(1e-2, 0.0)).validate_for(3.0)
+    InnerConfig(eps_schedule=(0.0,)).validate_for(2.0)
+
+
+def spy_newton_stages(monkeypatch) -> list:
+    """Record (start, eps, guarded, (z, grad_norm, iters)) for each Newton stage."""
+    from subeigen import inner_solver
+    real, calls = inner_solver._newton_stage, []
+
+    def stage(grid, fvals, z, p, eps, *args, guarded=False):
+        start = z.copy()
+        out = real(grid, fvals, z, p, eps, *args, guarded=guarded)
+        calls.append((start, eps, guarded, out))
+        return out
+
+    monkeypatch.setattr(inner_solver, "_newton_stage", stage)
+    return calls
+
+
+def test_warm_start_at_solution_takes_no_steps(rng):
+    grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (6, 6))
+    f = DualField(grid, rng.standard_normal(grid.n_nodes))
+    cfg = default_inner_config(1.5)
+    z = solve_inner(f, 1.5, cfg)
+    stats: dict = {}
+    again = solve_inner(f, 1.5, cfg, x0=z, stats=stats)
+    assert stats["iters"] == 0
+    assert np.array_equal(again.values, z.values)
+
+
+def test_abandoned_floor_attempt_reruns_schedule(monkeypatch):
+    # a small random start at p = 1.2: the floor-eps Newton decrement rises
+    # after a few steps, so the schedule has to take over
+    grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (6, 6))
+    f = DualField(grid, np.ones(grid.n_nodes))
+    x0 = se.Field(grid, 0.01 * np.random.default_rng(1).standard_normal(grid.n_nodes))
+    cfg = default_inner_config(1.2, tol_grad=1e-10)
+    cold = solve_inner(f, 1.2, cfg)
+    calls = spy_newton_stages(monkeypatch)
+    hist: list = []
+    stats: dict = {}
+    z = solve_inner(f, 1.2, cfg, x0=x0, history=hist, stats=stats)
+    start, eps, guarded, (_, gnorm, abandoned) = calls[0]
+    assert guarded and eps == cfg.eps_schedule[-1] and np.array_equal(start, x0.values)
+    assert gnorm > cfg.tol_grad * np.linalg.norm(f.values) and abandoned > 0
+    assert [c[1] for c in calls[1:]] == list(cfg.eps_schedule)
+    assert not any(c[2] for c in calls[1:])
+    assert np.array_equal(calls[1][0], x0.values)
+    assert stats["iters"] == sum(c[3][2] for c in calls)
+    assert len(hist) == calls[-1][3][2] + 1
+    hist = np.array(hist)
+    assert np.all(np.diff(hist) <= 1e-10 * np.maximum(np.abs(hist[:-1]), 1.0))
+    assert np.max(np.abs(z.values - cold.values)) <= 1e-8 * np.max(np.abs(cold.values))
+
+
+def test_warm_start_above_p2_runs_whole_schedule(monkeypatch, rng):
+    grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (6, 6))
+    f = DualField(grid, rng.standard_normal(grid.n_nodes))
+    cfg = default_inner_config(3.0)
+    z = solve_inner(f, 3.0, cfg)
+    calls = spy_newton_stages(monkeypatch)
+    solve_inner(f, 3.0, cfg, x0=z)
+    assert [c[1] for c in calls] == list(cfg.eps_schedule)
+    assert not any(c[2] for c in calls)

@@ -226,3 +226,18 @@ def test_hessian_diagonal_matches_assembled_hessian(grid, p, seed):
     G = grid.gradient_matrix
     exact = (G.T @ D @ G).diagonal()
     assert np.allclose(state.hessian_diagonal(), exact, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("grid", KERNEL_GRIDS + (se.build_grid("heisenberg1", [(0, 1)] * 3, (5, 4, 6)),))
+def test_gradient_transpose_is_cached_csr(grid):
+    grid = se.build_grid(grid.group, grid.box, grid.resolution)  # fresh caches
+    grid.stiffness_p2
+    assert "gradient_transpose" not in vars(grid)  # built on first use only
+    GT, G = grid.gradient_transpose, grid.gradient_matrix
+    assert GT.format == "csr" and GT is grid.gradient_transpose
+    assert GT.shape == G.T.shape and (GT != G.T).nnz == 0
+    z = np.random.default_rng(3).standard_normal(grid.n_nodes)
+    for p in (1.5, 3.0):
+        state = EnergyState(grid, z, p, 1e-3)
+        ref = G.T @ (state.s ** ((p - 2) / 2) * state.g).ravel()
+        assert np.max(np.abs(state.flux_divergence() - ref)) <= 1e-14 * np.max(np.abs(ref))

@@ -43,7 +43,7 @@ from .groups import (
     get_group,
     homogeneous_dimension,
 )
-from .inner_solver import ConvergenceError, InnerConfig, solve_inner, solve_linear_cg
+from .inner_solver import ConvergenceError, solve_inner, solve_linear_cg
 from .mesh import (
     Field,
     Grid,
@@ -67,7 +67,7 @@ __all__ = [
     "Grid", "Field", "HField", "build_grid", "dilate_grid",
     "horizontal_gradient", "p_energy", "lq_norm", "dump_field_csv",
     "DualField", "apply_A", "apply_B", "pairing", "residual",
-    "InnerConfig", "ConvergenceError", "solve_inner", "solve_linear_cg",
+    "ConvergenceError", "solve_inner", "solve_linear_cg",
     "SolverConfig", "EigenResult", "IterationRecord", "inverse_iteration",
     "rayleigh_minimize", "rayleigh_quotient",
     "RegularityReport", "estimate_sobolev_constant", "linf_threshold",

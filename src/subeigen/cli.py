@@ -230,18 +230,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--p", type=float, help="gradient exponent p > 1")
     parser.add_argument("--q", type=float, help="norm exponent q > 1")
     parser.add_argument("--method", help="inverse | rayleigh | both")
-    parser.add_argument("--tol-inner", type=float, dest="tol_inner")
-    parser.add_argument("--tol-outer", type=float, dest="tol_outer")
-    parser.add_argument("--eps-floor", type=float, dest="eps_floor")
-    parser.add_argument("--max-outer", type=int, dest="max_outer")
-    parser.add_argument("--max-inner", type=int, dest="max_inner")
-    parser.add_argument("--seed", type=int)
+    parser.add_argument("--tol-inner", type=float, help="default 1e-8 at p = 2, 1e-6 otherwise")
+    parser.add_argument("--tol-outer", type=float, help="outer stop tolerance (default 1e-6)")
+    parser.add_argument("--eps-floor", type=float, help="default 1e-8; unused at p = 2, capped "
+                        "at 1e-8 above 2, used as given below 2 (0 taken as 1e-300)")
+    parser.add_argument("--max-outer", type=int, help="outer step cap (default 500)")
+    parser.add_argument("--max-inner", type=int, help="step cap per inner stage (default 100000)")
+    parser.add_argument("--seed", type=int, help="seed of the --oracle multistart (default 0)")
     parser.add_argument("--out", dest="output_dir", help="output directory")
     parser.add_argument("--dump-field", action="store_true", default=None)
     parser.add_argument("--oracle", action="store_true", default=None,
                         help="also run the tiny-grid reference solver")
-    parser.add_argument("--sweep-p", dest="sweep_p", help="comma separated p values")
-    parser.add_argument("--sweep-q", dest="sweep_q", help="comma separated q values")
+    parser.add_argument("--sweep-p", help="comma separated p values")
+    parser.add_argument("--sweep-q", help="comma separated q values")
     return parser
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .inner_solver import ConvergenceError, InnerConfig, default_inner_config, solve_inner
+from .inner_solver import ConvergenceError, solve_inner
 from .mesh import Field, Grid, lq_norm, p_energy
 from .operators import apply_A, apply_B, residual
 
@@ -50,8 +50,11 @@ __all__ = [
 class SolverConfig:
     """Everything one eigenpair solve needs.
 
-    tol_inner defaults to 1e-8 when p = 2 (CG path) and 1e-6 otherwise;
-    tol_outer controls both the eigenvalue-change and iterate-change stops.
+    Tolerances must be finite and positive: tol_inner defaults to 1e-8 when
+    p = 2 (CG path) and 1e-6 otherwise; tol_outer controls both the
+    eigenvalue-change and iterate-change stops.  eps_floor (finite, >= 0) is
+    unused at p = 2, capped at 1e-8 above 2 (so 1e-4 runs at 1e-8), and
+    used as given below 2, where the inner solve takes 0 as 1e-300.
     """
 
     grid: Grid
@@ -64,25 +67,21 @@ class SolverConfig:
     max_outer: int = 500
 
     def __post_init__(self):
-        if self.p <= 1:
+        if not self.p > 1:
             raise ValueError(f"requires p > 1, got p = {self.p}")
-        if self.q <= 1:
+        if not self.q > 1:
             raise ValueError(f"requires q > 1, got q = {self.q}")
         if self.tol_inner is None:
             self.tol_inner = 1e-8 if self.p == 2.0 else 1e-6
-        if self.tol_inner <= 0:
-            raise ValueError(f"tol_inner must be positive, got {self.tol_inner}")
-        if self.tol_outer <= 0:
-            raise ValueError(f"tol_outer must be positive, got {self.tol_outer}")
-        if self.eps_floor < 0:
-            raise ValueError(f"eps_floor must be nonnegative, got {self.eps_floor}")
+        for name in ("tol_inner", "tol_outer"):
+            tol = getattr(self, name)
+            if not (math.isfinite(tol) and tol > 0):
+                raise ValueError(f"{name} must be finite and positive, got {tol}")
+        if not (math.isfinite(self.eps_floor) and self.eps_floor >= 0):
+            raise ValueError(f"eps_floor must be finite and nonnegative, got {self.eps_floor}")
         if self.max_outer < 1 or self.max_inner < 1:
             raise ValueError(f"max_outer and max_inner must be at least 1, got "
                              f"{self.max_outer} and {self.max_inner}")
-
-    def inner_config(self) -> InnerConfig:
-        return default_inner_config(self.p, tol_grad=self.tol_inner,
-                                    max_iters=self.max_inner, eps_floor=self.eps_floor)
 
 
 @dataclass(frozen=True)
@@ -161,6 +160,8 @@ def _start_iterate(grid: Grid, q: float, start: Field | str) -> Field:
         start = Field.from_function(grid, tent)
     elif start.grid != grid:
         raise ValueError("start iterate lives on a different grid")
+    elif not np.all(np.isfinite(start.values)):
+        raise ValueError("start iterate must be finite")
     elif not np.any(start.values):
         raise ValueError("start iterate must be nonzero")
     return normalize(start, q)
@@ -213,7 +214,6 @@ def inverse_iteration(cfg: SolverConfig, w0: Field | str = "default") -> EigenRe
     """
     p, q = cfg.p, cfg.q
     w = _start_iterate(cfg.grid, q, w0)
-    icfg = cfg.inner_config()
 
     history: list[IterationRecord] = []
     ws: list[np.ndarray] = []
@@ -223,7 +223,8 @@ def inverse_iteration(cfg: SolverConfig, w0: Field | str = "default") -> EigenRe
     for _ in range(cfg.max_outer):
         stats: dict = {}
         try:
-            z = solve_inner(apply_B(w, q), p, icfg, x0=warm, stats=stats)
+            z = solve_inner(apply_B(w, q), p, cfg.tol_inner, cfg.max_inner, cfg.eps_floor,
+                            x0=warm, stats=stats)
         except ConvergenceError:
             if not history:
                 raise

@@ -7,36 +7,29 @@ The subproblem behind one inverse-iteration step asks for the unique z with
 i.e. the minimizer of J(z) = (1/p) * p_energy(z, p, eps) - <f, z>.  For
 p = 2 the operator is the linear SPD stiffness G^T G and a Jacobi
 preconditioned conjugate gradient is used.  Otherwise truncated Newton runs
-through a decreasing eps schedule (warm-started), since the flux weight
-|grad z|^{p-2} degenerates (p > 2) or blows up (p < 2) where the gradient
-vanishes; a warm start at p < 2 tries the floor eps alone first and walks
-the schedule only if that stops making progress (adaptive continuation).
-Each Newton step solves G^T D G d = -grad J with the same
+through the decreasing eps ladder of _eps_ladder (warm-started), since the
+flux weight |grad z|^{p-2} degenerates (p > 2) or blows up (p < 2) where
+the gradient vanishes; a warm start at p < 2 tries the floor eps alone
+first and walks the ladder only if that stops making progress (adaptive
+continuation).  Each Newton step solves G^T D G d = -grad J with the same
 conjugate gradient loop, preconditioned by the exact Hessian diagonal, to
 the relative forcing tolerance min(0.5, sqrt(||grad J|| / ||f||))
 (Eisenstat & Walker), then backtracks on J from the full step (Armijo).
 
 All tolerances are relative to the data: the reported solution satisfies
-||A_eps(z) - f|| <= tol_grad * ||f|| on the node-value arrays.
+||A_eps(z) - f|| <= tol * ||f|| on the node-value arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from .mesh import EnergyState, Field, Grid, p_energy
 from .operators import DualField, pairing
 
-__all__ = [
-    "InnerConfig",
-    "ConvergenceError",
-    "default_inner_config",
-    "solve_inner",
-    "solve_linear_cg",
-    "inner_objective",
-]
+__all__ = ["ConvergenceError", "solve_inner", "solve_linear_cg", "inner_objective"]
 
 
 class ConvergenceError(RuntimeError):
@@ -48,50 +41,11 @@ class ConvergenceError(RuntimeError):
         self.grad_norm = grad_norm
 
 
-@dataclass
-class InnerConfig:
-    """Controls for the inner solve.
-
-    eps_schedule must be nonincreasing; the final entry is the regularization
-    the returned solution is reported at.  For p < 2 the final entry must be
-    strictly positive; for p >= 2 it must not exceed 1e-8.
-    """
-
-    tol_grad: float = 1e-8
-    max_iters: int = 100_000
-    eps_schedule: tuple[float, ...] = (1e-2, 1e-4, 1e-8)
-
-    def __post_init__(self):
-        if self.tol_grad <= 0:
-            raise ValueError(f"tol_grad must be positive, got {self.tol_grad}")
-        sched = tuple(float(e) for e in self.eps_schedule)
-        if not sched:
-            raise ValueError("eps_schedule must be nonempty")
-        if any(e < 0 for e in sched):
-            raise ValueError("eps_schedule entries must be nonnegative")
-        if any(a < b for a, b in zip(sched, sched[1:])):
-            raise ValueError(f"eps_schedule must be nonincreasing, got {sched}")
-        self.eps_schedule = sched
-
-    def validate_for(self, p: float) -> None:
-        last = self.eps_schedule[-1]
-        if p > 2 and self.eps_schedule[0] == 0.0:
-            raise ValueError("eps_schedule must start above 0 for p > 2: "
-                             "the eps = 0 Hessian vanishes at z = 0")
-        if p < 2 and last == 0.0:
-            raise ValueError("eps_schedule needs a strictly positive floor for p < 2")
-        if p >= 2 and last > 1e-8:
-            raise ValueError(f"eps_schedule floor must be <= 1e-8 for p >= 2, got {last}")
-
-
-def default_inner_config(p: float, tol_grad: float | None = None,
-                         max_iters: int = 100_000, eps_floor: float = 1e-8) -> InnerConfig:
-    """Config with the default tolerances: 1e-8 on the p = 2 path, 1e-6 otherwise."""
-    if tol_grad is None:
-        tol_grad = 1e-8 if p == 2.0 else 1e-6
-    floor = max(eps_floor, 1e-300) if p < 2 else min(eps_floor, 1e-8)
-    sched = [e for e in (1e-2, 1e-4) if e > floor] + [floor]
-    return InnerConfig(tol_grad=tol_grad, max_iters=max_iters, eps_schedule=tuple(sched))
+def _eps_ladder(p: float, eps_floor: float) -> tuple[float, ...]:
+    """The eps stages of a p != 2 solve: 1e-2 and 1e-4 where above the floor,
+    then the floor, max(eps_floor, 1e-300) for p < 2, min(eps_floor, 1e-8) above."""
+    floor = float(max(eps_floor, 1e-300) if p < 2 else min(eps_floor, 1e-8))
+    return tuple(e for e in (1e-2, 1e-4) if e > floor) + (floor,)
 
 
 def inner_objective(z: Field, f: DualField, p: float, eps: float) -> float:
@@ -123,25 +77,28 @@ def _pcg(matvec, b: np.ndarray, Minv: np.ndarray, x: np.ndarray, tol: float,
     return x, float(np.linalg.norm(r)), max_iters
 
 
-def solve_linear_cg(f: DualField, cfg: InnerConfig, x0: Field | None = None,
-                    stats: dict | None = None) -> Field:
+def solve_linear_cg(f: DualField, tol: float, max_iters: int = 100_000,
+                    x0: Field | None = None, stats: dict | None = None) -> Field:
     """Jacobi-preconditioned CG for G^T G z = f (the p = 2 inner problem).
 
-    Stops when ||G^T G z - f|| <= tol_grad * ||f||; raises ConvergenceError
-    at the iteration cap.  ``stats`` (when given) receives {"iters": count}.
+    Stops when ||G^T G z - f|| <= tol * ||f||, tol finite and positive;
+    raises ConvergenceError after max_iters iterations.  ``stats`` (when
+    given) receives {"iters": count}.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     grid, b = f.grid, f.values
-    tol = cfg.tol_grad * float(np.linalg.norm(b))
+    tol_abs = tol * float(np.linalg.norm(b))
     # the solution of f = 0 is 0, which a zero start reaches in no iterations
-    x = np.zeros(grid.n_nodes) if x0 is None or tol == 0.0 else x0.values.copy()
+    x = np.zeros(grid.n_nodes) if x0 is None or tol_abs == 0.0 else x0.values.copy()
     x, rnorm, iters = _pcg(lambda v: grid.stiffness_p2 @ v, b, 1.0 / grid.stiffness_diagonal,
-                           x, tol, cfg.max_iters)
+                           x, tol_abs, max_iters)
     if stats is not None:
         stats["iters"] = iters
-    if rnorm <= tol:
+    if rnorm <= tol_abs:
         return Field(grid, x)
     raise ConvergenceError(
-        f"CG did not reach tolerance {cfg.tol_grad:g} within {cfg.max_iters} iterations",
+        f"CG did not reach tolerance {tol:g} within {max_iters} iterations",
         Field(grid, x), rnorm,
     )
 
@@ -197,49 +154,55 @@ def _newton_stage(grid: Grid, fvals: np.ndarray, z: np.ndarray, p: float, eps: f
         z, state, energy, fz, grad = z_try, trial, energy_try, fz_try, grad_try
 
 
-def solve_inner(f: DualField, p: float, cfg: InnerConfig, x0: Field | None = None,
+def solve_inner(f: DualField, p: float, tol: float, max_iters: int = 100_000,
+                eps_floor: float = 1e-8, x0: Field | None = None,
                 history: list | None = None, stats: dict | None = None) -> Field:
-    """Minimize J(z) = (1/p) p_energy(z, p, eps) - <f, z>.
+    """Minimize J(z) = (1/p) p_energy(z, p, eps) - <f, z> for p > 1, tol
+    finite and positive, eps_floor finite and nonnegative.
 
-    Dispatches to CG when p = 2; otherwise runs truncated Newton through
-    cfg.eps_schedule with warm starts, cfg.max_iters capping the Newton
-    steps of each stage.  Given x0 at p < 2, a guarded stage at the final
-    eps runs from x0 first; if it gives up (rising Newton decrement, cap or
-    stall), the schedule runs from x0.  Cold starts need the ladder to reach
-    the floor-eps basin; p > 2 keeps it because PCG on the floor-eps Hessian,
-    degenerate where the gradient vanishes, needs about twice the steps.
-    The result has ||A_eps(z) - f|| <= tol_grad * ||f|| at the final eps, or
-    the cap or a line-search stall raises ConvergenceError.  ``history`` gets
-    the final stage; ``stats`` (when given) gets {"iters": CG iterations at
-    p = 2, otherwise the Newton steps of every stage, abandoned ones included}.
+    p = 2 goes to solve_linear_cg (eps_floor unused).  Otherwise truncated
+    Newton runs through _eps_ladder(p, eps_floor) with warm starts,
+    max_iters capping the Newton steps of each stage.  Given x0 at p < 2, a
+    guarded stage at the floor eps runs from x0 first; if it gives up
+    (rising Newton decrement, cap or stall), the ladder runs from x0.  Cold
+    starts need the ladder to reach the floor-eps basin; p > 2 keeps it
+    because PCG on the floor-eps Hessian, degenerate where the gradient
+    vanishes, needs about twice the steps.  The result has ||A_eps(z) - f||
+    <= tol * ||f|| at the floor eps, or the cap or a line-search stall
+    raises ConvergenceError.  ``history`` gets the final stage; ``stats``
+    (when given) gets {"iters": CG iterations at p = 2, otherwise the
+    Newton steps of every stage, abandoned ones included}.
     """
-    if p <= 1:
+    if not p > 1:
         raise ValueError(f"inner solve requires p > 1, got p = {p}")
-    cfg.validate_for(p)
+    if not (math.isfinite(eps_floor) and eps_floor >= 0):
+        raise ValueError(f"eps_floor must be finite and nonnegative, got {eps_floor}")
     if p == 2.0:
-        return solve_linear_cg(f, cfg, x0=x0, stats=stats)
+        return solve_linear_cg(f, tol, max_iters, x0=x0, stats=stats)
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     grid, fnorm = f.grid, float(np.linalg.norm(f.values))
-    tol_abs = cfg.tol_grad * fnorm
+    tol_abs = tol * fnorm
     # for f = 0 the zero start is the solution and every stage returns it at once
     z = np.zeros(grid.n_nodes) if x0 is None or fnorm == 0.0 else x0.values.copy()
-    total_iters, schedule = 0, cfg.eps_schedule
+    total_iters, ladder = 0, _eps_ladder(p, eps_floor)
     if x0 is not None and p < 2 and fnorm > 0.0:
         floor_history: list = []
-        z_floor, gnorm, total_iters = _newton_stage(grid, f.values, z, p, schedule[-1], tol_abs,
-                                                    cfg.max_iters, floor_history, guarded=True)
+        z_floor, gnorm, total_iters = _newton_stage(grid, f.values, z, p, ladder[-1], tol_abs,
+                                                    max_iters, floor_history, guarded=True)
         if gnorm <= tol_abs:
-            z, schedule = z_floor, ()
+            z, ladder = z_floor, ()
             if history is not None:
                 history.extend(floor_history)
-    for i, eps in enumerate(schedule):
-        final = i == len(schedule) - 1
+    for i, eps in enumerate(ladder):
+        final = i == len(ladder) - 1
         stage_tol = tol_abs if final else max(10.0 * tol_abs, 1e-3 * fnorm)
-        z, gnorm, iters = _newton_stage(grid, f.values, z, p, eps, stage_tol, cfg.max_iters,
+        z, gnorm, iters = _newton_stage(grid, f.values, z, p, eps, stage_tol, max_iters,
                                         history if final else None)
         total_iters += iters
         if final and gnorm > tol_abs:
             raise ConvergenceError(
-                f"inner solve missed tolerance {cfg.tol_grad:g} ({cfg.max_iters} iterations "
+                f"inner solve missed tolerance {tol:g} ({max_iters} iterations "
                 f"exhausted; relative gradient {gnorm / fnorm:.3e})",
                 Field(grid, z), gnorm,
             )

@@ -229,7 +229,9 @@ def test_inner_failure_exit_code(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("flags", [["--max-outer", "0"], ["--tol-outer", "0"],
                                    ["--tol-inner", "0"], ["--eps-floor", "-1"],
-                                   ["--max-inner", "-1"]])
+                                   ["--max-inner", "-1"], ["--tol-outer", "nan"],
+                                   ["--tol-inner", "nan"], ["--p", "1.5", "--eps-floor", "nan"],
+                                   ["--eps-floor", "inf"]])
 def test_out_of_range_solver_setting_is_an_error(tmp_path, capsys, flags):
     out = tmp_path / "run"
     code = main(["--group", "euclidean2", "--box", "0,1,0,1", "--resolution", "4,4",
@@ -238,6 +240,7 @@ def test_out_of_range_solver_setting_is_an_error(tmp_path, capsys, flags):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert len(err.splitlines()) == 1
+    assert flags[-2][2:].replace("-", "_") in err  # names the rejected setting
     assert "Traceback" not in err
     assert not (out / "summary.json").exists()
 

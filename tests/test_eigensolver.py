@@ -111,6 +111,20 @@ def test_inverse_iteration_custom_start(rng):
         se.inverse_iteration(cfg, w0="bump")
 
 
+@pytest.mark.parametrize("solver", [se.inverse_iteration, se.rayleigh_minimize])
+def test_invalid_start_iterate_is_rejected(solver):
+    grid = small_square(4)
+    cfg = se.SolverConfig(grid=grid, p=2.0, q=2.0)
+    nan_start, inf_start = np.ones(grid.n_nodes), np.ones(grid.n_nodes)
+    nan_start[3], inf_start[3] = np.nan, np.inf
+    for start, message in [(nan_start, "finite"), (inf_start, "finite"),
+                           (np.zeros(grid.n_nodes), "nonzero")]:
+        with pytest.raises(ValueError, match=message):
+            solver(cfg, se.Field(grid, start))
+    with pytest.raises(ValueError, match="different grid"):
+        solver(cfg, se.Field.zeros(small_square(5)))
+
+
 def test_inverse_iteration_max_outer_reports_unconverged():
     cfg = se.SolverConfig(grid=small_square(), p=2.0, q=2.0, max_outer=2)
     r = se.inverse_iteration(cfg)
@@ -219,8 +233,15 @@ def test_solver_config_validation(unit_square):
     assert cfg.tol_inner == 1e-8
     cfg2 = se.SolverConfig(grid=unit_square, p=2.5, q=2.0)
     assert cfg2.tol_inner == 1e-6
+    nan, inf = float("nan"), float("inf")
+    with pytest.raises(ValueError):
+        se.SolverConfig(grid=unit_square, p=nan, q=2.0)
+    with pytest.raises(ValueError):
+        se.SolverConfig(grid=unit_square, p=2.0, q=nan)
     for setting in ({"max_outer": 0}, {"tol_inner": 0.0}, {"tol_outer": 0.0},
-                    {"eps_floor": -1.0}, {"max_inner": 0}):
+                    {"eps_floor": -1.0}, {"max_inner": 0}, {"tol_inner": nan},
+                    {"tol_inner": inf}, {"tol_outer": nan}, {"tol_outer": inf},
+                    {"eps_floor": nan}, {"eps_floor": inf}):
         with pytest.raises(ValueError):
             se.SolverConfig(grid=unit_square, p=3.0, q=2.0, **setting)
 

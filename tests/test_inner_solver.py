@@ -5,8 +5,6 @@ import subeigen as se
 from subeigen.inner_solver import (
     ConvergenceError,
     _newton_stage,
-    InnerConfig,
-    default_inner_config,
     inner_objective,
     solve_inner,
     solve_linear_cg,
@@ -16,31 +14,29 @@ from subeigen.oracle import multistart_minimize
 from conftest import chain_grid, random_field
 
 
-def test_config_validation():
+def test_config_validation(unit_square):
+    f = DualField(unit_square, np.ones(unit_square.n_nodes))
+    nan = float("nan")
+    for p, kwargs in [(1.0, {}), (nan, {}), (3.0, {"tol": 0.0}), (3.0, {"tol": nan}),
+                      (2.0, {"tol": 0.0}), (2.0, {"tol": nan}), (3.0, {"eps_floor": -1.0}),
+                      (3.0, {"eps_floor": nan})]:
+        with pytest.raises(ValueError):
+            solve_inner(f, p, **{"tol": 1e-6, **kwargs})
     with pytest.raises(ValueError):
-        InnerConfig(tol_grad=0.0)
-    with pytest.raises(ValueError):
-        InnerConfig(eps_schedule=(1e-4, 1e-2))
-    with pytest.raises(ValueError):
-        InnerConfig(eps_schedule=())
-    cfg = InnerConfig(eps_schedule=(1e-2, 0.0))
-    with pytest.raises(ValueError):
-        cfg.validate_for(1.5)  # needs a positive floor below 2
-    with pytest.raises(ValueError):
-        InnerConfig(eps_schedule=(1e-2,)).validate_for(3.0)  # floor above 1e-8
+        solve_linear_cg(f, 0.0)
 
 
 def test_zero_rhs_returns_zero(unit_square):
     f = DualField(unit_square, np.zeros(unit_square.n_nodes))
-    assert np.all(solve_linear_cg(f, default_inner_config(2.0)).values == 0.0)
-    assert np.all(solve_inner(f, 3.0, default_inner_config(3.0)).values == 0.0)
+    assert np.all(solve_linear_cg(f, 1e-8).values == 0.0)
+    assert np.all(solve_inner(f, 3.0, 1e-6).values == 0.0)
 
 
 def test_chain_linear_solve():
     # K = tridiag(2,-1) at h = 1; f = (1,0,0) has solution (0.75, 0.5, 0.25)
     grid = chain_grid(3)
     f = DualField(grid, np.array([1.0, 0.0, 0.0]))
-    z = solve_linear_cg(f, default_inner_config(2.0, tol_grad=1e-12))
+    z = solve_linear_cg(f, 1e-12)
     assert np.allclose(z.values, [0.75, 0.5, 0.25], atol=1e-8)
 
 
@@ -50,7 +46,7 @@ def test_poisson_sine_solution():
     for n in (16, 32):
         g = se.build_grid("euclidean2", [(0, np.pi), (0, np.pi)], (n, n))
         rhs = se.Field.from_function(g, lambda x, y: 2 * np.sin(x) * np.sin(y))
-        z = solve_inner(DualField(g, rhs.values), 2.0, default_inner_config(2.0, tol_grad=1e-10))
+        z = solve_inner(DualField(g, rhs.values), 2.0, 1e-10)
         exact = se.Field.from_function(g, lambda x, y: np.sin(x) * np.sin(y))
         errors.append(float(np.max(np.abs(z.values - exact.values))))
     assert errors[0] < 0.02
@@ -60,9 +56,8 @@ def test_poisson_sine_solution():
 def test_p4_matches_derivative_free_minimizer(rng):
     grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (3, 3))
     f = DualField(grid, rng.standard_normal(9))
-    icfg = default_inner_config(4.0, tol_grad=1e-8)
-    z = solve_inner(f, 4.0, icfg)
-    eps = icfg.eps_schedule[-1]
+    z = solve_inner(f, 4.0, 1e-8)
+    eps = 1e-8  # the floor eps at p >= 2
 
     def batch(X):
         return np.array([inner_objective(se.Field(grid, row), f, 4.0, eps) for row in X])
@@ -78,7 +73,7 @@ def test_cg_and_newton_agree_at_p2(rng):
     grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (4, 4))
     f = DualField(grid, rng.standard_normal(grid.n_nodes))
     tol = 1e-8
-    z_cg = solve_linear_cg(f, default_inner_config(2.0, tol_grad=tol))
+    z_cg = solve_linear_cg(f, tol)
     z_newton, _, _ = _newton_stage(grid, f.values, np.zeros(grid.n_nodes), 2.0, 1e-8,
                                    tol * np.linalg.norm(f.values), 100, None)
     assert np.max(np.abs(z_cg.values - z_newton)) < 10 * tol
@@ -88,7 +83,7 @@ def test_energy_descent_history(rng):
     grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (5, 5))
     f = DualField(grid, rng.standard_normal(grid.n_nodes))
     hist: list = []
-    solve_inner(f, 3.0, default_inner_config(3.0), history=hist)
+    solve_inner(f, 3.0, 1e-6, history=hist)
     hist = np.array(hist)
     assert len(hist) >= 2
     assert np.all(np.diff(hist) <= 1e-10 * np.maximum(np.abs(hist[:-1]), 1.0))
@@ -99,9 +94,8 @@ def test_homogeneity_transfer(rng):
     grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (3, 3))
     f = DualField(grid, rng.standard_normal(9))
     for p in (1.5, 3.0):
-        cfg = default_inner_config(p, tol_grad=1e-9)
-        z1 = solve_inner(f, p, cfg)
-        z5 = solve_inner(DualField(grid, 5.0 * f.values), p, cfg)
+        z1 = solve_inner(f, p, 1e-9)
+        z5 = solve_inner(DualField(grid, 5.0 * f.values), p, 1e-9)
         scale = 5.0 ** (1.0 / (p - 1.0))
         assert np.allclose(z5.values, scale * z1.values, rtol=1e-6, atol=1e-9)
 
@@ -110,7 +104,7 @@ def test_p2_weak_identity(rng):
     grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (6, 6))
     f = DualField(grid, rng.standard_normal(grid.n_nodes))
     tol = 1e-10
-    z = solve_linear_cg(f, default_inner_config(2.0, tol_grad=tol))
+    z = solve_linear_cg(f, tol)
     defect = se.apply_A(z, 2.0).values - f.values
     # against every node basis field the pairing defect is below tolerance
     assert np.max(np.abs(defect)) <= tol * np.linalg.norm(f.values)
@@ -120,7 +114,7 @@ def test_iteration_limit_error_carries_iterate(rng):
     grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (8, 8))
     f = DualField(grid, rng.standard_normal(grid.n_nodes))
     with pytest.raises(ConvergenceError) as info:
-        solve_linear_cg(f, InnerConfig(tol_grad=1e-12, max_iters=2))
+        solve_linear_cg(f, 1e-12, max_iters=2)
     assert info.value.last_iterate.grid == grid
     assert info.value.grad_norm > 0.0
 
@@ -129,17 +123,18 @@ def test_unreachable_tolerance_stalls_out(rng):
     grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (3, 3))
     f = DualField(grid, rng.standard_normal(9))
     with pytest.raises(ConvergenceError):
-        solve_inner(f, 4.0, default_inner_config(4.0, tol_grad=1e-20))
+        solve_inner(f, 4.0, 1e-20)
 
 
-def test_zero_starting_eps_rejected_above_p2():
-    # at z = 0 and eps = 0 the p > 2 Hessian vanishes, so Newton has no direction
+def test_zero_eps_floor_above_p2_starts_on_the_ladder():
+    # at z = 0 and eps = 0 the p > 2 Hessian vanishes, so a cold solve with a
+    # zero floor has to reach eps = 0 through the positive ladder stages
     grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (6, 6))
     f = DualField(grid, np.ones(grid.n_nodes))
-    with pytest.raises(ValueError, match="start above 0 for p > 2"):
-        solve_inner(f, 3.0, InnerConfig(eps_schedule=(0.0,)))
-    InnerConfig(eps_schedule=(1e-2, 0.0)).validate_for(3.0)
-    InnerConfig(eps_schedule=(0.0,)).validate_for(2.0)
+    z = solve_inner(f, 3.0, 1e-6, eps_floor=0.0)
+    assert np.all(np.isfinite(z.values)) and np.any(z.values)
+    defect = se.apply_A(z, 3.0, 0.0).values - f.values
+    assert np.linalg.norm(defect) <= 1e-6 * np.linalg.norm(f.values)
 
 
 def spy_newton_stages(monkeypatch) -> list:
@@ -160,10 +155,9 @@ def spy_newton_stages(monkeypatch) -> list:
 def test_warm_start_at_solution_takes_no_steps(rng):
     grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (6, 6))
     f = DualField(grid, rng.standard_normal(grid.n_nodes))
-    cfg = default_inner_config(1.5)
-    z = solve_inner(f, 1.5, cfg)
+    z = solve_inner(f, 1.5, 1e-6)
     stats: dict = {}
-    again = solve_inner(f, 1.5, cfg, x0=z, stats=stats)
+    again = solve_inner(f, 1.5, 1e-6, x0=z, stats=stats)
     assert stats["iters"] == 0
     assert np.array_equal(again.values, z.values)
 
@@ -174,16 +168,15 @@ def test_abandoned_floor_attempt_reruns_schedule(monkeypatch):
     grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (6, 6))
     f = DualField(grid, np.ones(grid.n_nodes))
     x0 = se.Field(grid, 0.01 * np.random.default_rng(1).standard_normal(grid.n_nodes))
-    cfg = default_inner_config(1.2, tol_grad=1e-10)
-    cold = solve_inner(f, 1.2, cfg)
+    cold = solve_inner(f, 1.2, 1e-10)
     calls = spy_newton_stages(monkeypatch)
     hist: list = []
     stats: dict = {}
-    z = solve_inner(f, 1.2, cfg, x0=x0, history=hist, stats=stats)
+    z = solve_inner(f, 1.2, 1e-10, x0=x0, history=hist, stats=stats)
     start, eps, guarded, (_, gnorm, abandoned) = calls[0]
-    assert guarded and eps == cfg.eps_schedule[-1] and np.array_equal(start, x0.values)
-    assert gnorm > cfg.tol_grad * np.linalg.norm(f.values) and abandoned > 0
-    assert [c[1] for c in calls[1:]] == list(cfg.eps_schedule)
+    assert guarded and eps == 1e-8 and np.array_equal(start, x0.values)
+    assert gnorm > 1e-10 * np.linalg.norm(f.values) and abandoned > 0
+    assert [c[1] for c in calls[1:]] == [1e-2, 1e-4, 1e-8]
     assert not any(c[2] for c in calls[1:])
     assert np.array_equal(calls[1][0], x0.values)
     assert stats["iters"] == sum(c[3][2] for c in calls)
@@ -196,9 +189,8 @@ def test_abandoned_floor_attempt_reruns_schedule(monkeypatch):
 def test_warm_start_above_p2_runs_whole_schedule(monkeypatch, rng):
     grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (6, 6))
     f = DualField(grid, rng.standard_normal(grid.n_nodes))
-    cfg = default_inner_config(3.0)
-    z = solve_inner(f, 3.0, cfg)
+    z = solve_inner(f, 3.0, 1e-6)
     calls = spy_newton_stages(monkeypatch)
-    solve_inner(f, 3.0, cfg, x0=z)
-    assert [c[1] for c in calls] == list(cfg.eps_schedule)
+    solve_inner(f, 3.0, 1e-6, x0=z)
+    assert [c[1] for c in calls] == [1e-2, 1e-4, 1e-8]
     assert not any(c[2] for c in calls)

@@ -232,8 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--method", help="inverse | rayleigh | both")
     parser.add_argument("--tol-inner", type=float, help="default 1e-8 at p = 2, 1e-6 otherwise")
     parser.add_argument("--tol-outer", type=float, help="outer stop tolerance (default 1e-6)")
-    parser.add_argument("--eps-floor", type=float, help="default 1e-8; unused at p = 2, capped "
-                        "at 1e-8 above 2, used as given below 2 (0 taken as 1e-300)")
+    parser.add_argument("--eps-floor", type=float, help="the eps of the last inner stage, "
+                        "unused at p = 2 (default 1e-8)")
     parser.add_argument("--max-outer", type=int, help="outer step cap (default 500)")
     parser.add_argument("--max-inner", type=int, help="step cap per inner stage (default 100000)")
     parser.add_argument("--seed", type=int, help="seed of the --oracle multistart (default 0)")

@@ -53,8 +53,7 @@ class SolverConfig:
     Tolerances must be finite and positive: tol_inner defaults to 1e-8 when
     p = 2 (CG path) and 1e-6 otherwise; tol_outer controls both the
     eigenvalue-change and iterate-change stops.  eps_floor (finite, >= 0) is
-    unused at p = 2, capped at 1e-8 above 2 (so 1e-4 runs at 1e-8), and
-    used as given below 2, where the inner solve takes 0 as 1e-300.
+    the eps of the last inner stage, unused at p = 2.
     """
 
     grid: Grid
@@ -67,10 +66,10 @@ class SolverConfig:
     max_outer: int = 500
 
     def __post_init__(self):
-        if not self.p > 1:
-            raise ValueError(f"requires p > 1, got p = {self.p}")
-        if not self.q > 1:
-            raise ValueError(f"requires q > 1, got q = {self.q}")
+        for name in ("p", "q"):
+            value = getattr(self, name)
+            if not 1 < value < math.inf:
+                raise ValueError(f"requires finite {name} > 1, got {name} = {value}")
         if self.tol_inner is None:
             self.tol_inner = 1e-8 if self.p == 2.0 else 1e-6
         for name in ("tol_inner", "tol_outer"):
@@ -273,7 +272,6 @@ def rayleigh_minimize(cfg: SolverConfig, u0: Field | str = "default") -> EigenRe
     p, q = cfg.p, cfg.q
     u = _start_iterate(cfg.grid, q, u0)
 
-    eps_grad = cfg.eps_floor if p < 2 else 0.0
     max_iters = 10 * cfg.max_outer
     patience_needed = 5
     vol = cfg.grid.cell_volume
@@ -285,7 +283,7 @@ def rayleigh_minimize(cfg: SolverConfig, u0: Field | str = "default") -> EigenRe
     converged = False
     u_prev_vals = g_prev = None
     for _ in range(max_iters):
-        d = apply_A(u, p, eps_grad).values - R * apply_B(u, q).values
+        d = apply_A(u, p).values - R * apply_B(u, q).values
         if u_prev_vals is not None and g_prev is not None:
             s = u.values - u_prev_vals
             y = d - g_prev

@@ -159,10 +159,10 @@ def check_regime(p: float, q: float, group: GroupDescriptor) -> str | None:
     p > 1 and q > 1 are required.
     """
     nu = group.homogeneous_dim
-    if not p > 1.0:
-        return f"requires p > 1, got p = {p}"
-    if not q > 1.0:
-        return f"requires q > 1, got q = {q}"
+    if not 1.0 < p < np.inf:
+        return f"requires finite p > 1, got p = {p}"
+    if not 1.0 < q < np.inf:
+        return f"requires finite q > 1, got q = {q}"
     if group.n_layers == 1:
         return None
     if not p < nu:

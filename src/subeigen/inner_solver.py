@@ -9,8 +9,8 @@ p = 2 the operator is the linear SPD stiffness G^T G and a Jacobi
 preconditioned conjugate gradient is used.  Otherwise truncated Newton runs
 through the decreasing eps ladder of _eps_ladder (warm-started), since the
 flux weight |grad z|^{p-2} degenerates (p > 2) or blows up (p < 2) where
-the gradient vanishes; a warm start at p < 2 tries the floor eps alone
-first and walks the ladder only if that stops making progress (adaptive
+the gradient vanishes; a warm start tries the floor eps alone first and
+walks the ladder only if that stops making progress (adaptive
 continuation).  Each Newton step solves G^T D G d = -grad J with the same
 conjugate gradient loop, preconditioned by the exact Hessian diagonal, to
 the relative forcing tolerance min(0.5, sqrt(||grad J|| / ||f||))
@@ -41,11 +41,10 @@ class ConvergenceError(RuntimeError):
         self.grad_norm = grad_norm
 
 
-def _eps_ladder(p: float, eps_floor: float) -> tuple[float, ...]:
-    """The eps stages of a p != 2 solve: 1e-2 and 1e-4 where above the floor,
-    then the floor, max(eps_floor, 1e-300) for p < 2, min(eps_floor, 1e-8) above."""
-    floor = float(max(eps_floor, 1e-300) if p < 2 else min(eps_floor, 1e-8))
-    return tuple(e for e in (1e-2, 1e-4) if e > floor) + (floor,)
+def _eps_ladder(eps_floor: float) -> tuple[float, ...]:
+    """The eps stages of a p != 2 solve: 1e-2 and 1e-4 where above the
+    floor, then eps_floor itself."""
+    return tuple(e for e in (1e-2, 1e-4) if e > eps_floor) + (float(eps_floor),)
 
 
 def inner_objective(z: Field, f: DualField, p: float, eps: float) -> float:
@@ -161,13 +160,11 @@ def solve_inner(f: DualField, p: float, tol: float, max_iters: int = 100_000,
     finite and positive, eps_floor finite and nonnegative.
 
     p = 2 goes to solve_linear_cg (eps_floor unused).  Otherwise truncated
-    Newton runs through _eps_ladder(p, eps_floor) with warm starts,
-    max_iters capping the Newton steps of each stage.  Given x0 at p < 2, a
-    guarded stage at the floor eps runs from x0 first; if it gives up
-    (rising Newton decrement, cap or stall), the ladder runs from x0.  Cold
-    starts need the ladder to reach the floor-eps basin; p > 2 keeps it
-    because PCG on the floor-eps Hessian, degenerate where the gradient
-    vanishes, needs about twice the steps.  The result has ||A_eps(z) - f||
+    Newton runs through _eps_ladder(eps_floor) with warm starts, max_iters
+    capping the Newton steps of each stage.  Given x0, a guarded stage at
+    the floor eps runs from x0 first; if it gives up (rising Newton
+    decrement, cap or stall), the ladder runs from x0.  Cold starts need the
+    ladder to reach the floor-eps basin.  The result has ||A_eps(z) - f||
     <= tol * ||f|| at the floor eps, or the cap or a line-search stall
     raises ConvergenceError.  ``history`` gets the final stage; ``stats``
     (when given) gets {"iters": CG iterations at p = 2, otherwise the
@@ -185,8 +182,8 @@ def solve_inner(f: DualField, p: float, tol: float, max_iters: int = 100_000,
     tol_abs = tol * fnorm
     # for f = 0 the zero start is the solution and every stage returns it at once
     z = np.zeros(grid.n_nodes) if x0 is None or fnorm == 0.0 else x0.values.copy()
-    total_iters, ladder = 0, _eps_ladder(p, eps_floor)
-    if x0 is not None and p < 2 and fnorm > 0.0:
+    total_iters, ladder = 0, _eps_ladder(eps_floor)
+    if x0 is not None and fnorm > 0.0:
         floor_history: list = []
         z_floor, gnorm, total_iters = _newton_stage(grid, f.values, z, p, ladder[-1], tol_abs,
                                                     max_iters, floor_history, guarded=True)

@@ -63,10 +63,15 @@ class Grid:
             raise ValueError(f"degenerate box {box}: every axis needs hi > lo")
         if any(r < 1 for r in resolution):
             raise ValueError(f"resolution must be >= 1 per axis, got {resolution}")
+        spacings = tuple((hi - lo) / (r + 1) for (lo, hi), r in zip(box, resolution))
+        with np.errstate(all="ignore"):  # 1/h^2 sizes the stiffness entries
+            if not all(0.0 < np.float64(h) ** -2 < np.inf for h in spacings):
+                raise ValueError(f"degenerate box {box}: every axis needs finite bounds and a "
+                                 f"spacing h with finite positive h**-2, got h = {spacings}")
         self.group = group
         self.box = box
         self.resolution = resolution
-        self.spacings = tuple((hi - lo) / (r + 1) for (lo, hi), r in zip(box, resolution))
+        self.spacings = spacings
         self.shape = resolution
         self.n_nodes = int(np.prod(resolution))
         self.cell_volume = float(np.prod(self.spacings))

@@ -51,6 +51,14 @@ def test_run_rejects_bad_config(tmp_path, capsys):
                  "--out", str(tmp_path / "x")]) == 1
     assert main(["--group", "euclidean2", "--box", "0,1,0,1", "--resolution", "4,4",
                  "--method", "newton", "--out", str(tmp_path / "x")]) == 1
+    capsys.readouterr()
+    # boxes whose spacing h has no finite positive h**-2 (or that are unbounded)
+    for box in ("0,1e308,0,1", "0,1e-200,0,1", "0,inf,0,1"):
+        assert main(["--group", "euclidean2", "--box", box, "--resolution", "8,8",
+                     "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: degenerate box") and len(err.splitlines()) == 1
+        assert repr(float(box.split(",")[1])) in err and "Traceback" not in err
 
 
 def test_trace_csv_columns(tmp_path):
@@ -231,7 +239,7 @@ def test_inner_failure_exit_code(tmp_path, monkeypatch):
                                    ["--tol-inner", "0"], ["--eps-floor", "-1"],
                                    ["--max-inner", "-1"], ["--tol-outer", "nan"],
                                    ["--tol-inner", "nan"], ["--p", "1.5", "--eps-floor", "nan"],
-                                   ["--eps-floor", "inf"]])
+                                   ["--eps-floor", "inf"], ["--p", "inf"], ["--q", "inf"]])
 def test_out_of_range_solver_setting_is_an_error(tmp_path, capsys, flags):
     out = tmp_path / "run"
     code = main(["--group", "euclidean2", "--box", "0,1,0,1", "--resolution", "4,4",

@@ -177,6 +177,15 @@ def test_rayleigh_minimize_quotient_monotone():
     assert all(rec.unorm is None and rec.residual is None for rec in h[:-1])
 
 
+def test_rayleigh_minimize_ignores_eps_floor():
+    # the descent direction is the gradient of the exact eps = 0 quotient
+    runs = [se.rayleigh_minimize(se.SolverConfig(grid=small_square(), p=1.5, q=2.0,
+                                                 max_outer=5, eps_floor=eps))
+            for eps in (1e-8, 1e-2)]
+    assert [r.history for r in runs[1:]] == [runs[0].history]
+    assert np.array_equal(runs[0].eigenfunction.values, runs[1].eigenfunction.values)
+
+
 def test_rayleigh_minimize_heisenberg_agreement():
     grid = se.build_grid("heisenberg1", [(0, 1), (0, 1), (0, 1)], (16, 16, 16))
     cfg = se.SolverConfig(grid=grid, p=2.0, q=2.0)
@@ -234,10 +243,9 @@ def test_solver_config_validation(unit_square):
     cfg2 = se.SolverConfig(grid=unit_square, p=2.5, q=2.0)
     assert cfg2.tol_inner == 1e-6
     nan, inf = float("nan"), float("inf")
-    with pytest.raises(ValueError):
-        se.SolverConfig(grid=unit_square, p=nan, q=2.0)
-    with pytest.raises(ValueError):
-        se.SolverConfig(grid=unit_square, p=2.0, q=nan)
+    for p, q in ((nan, 2.0), (2.0, nan), (inf, 2.0), (2.0, inf)):
+        with pytest.raises(ValueError, match="finite [pq] > 1"):
+            se.SolverConfig(grid=unit_square, p=p, q=q)
     for setting in ({"max_outer": 0}, {"tol_inner": 0.0}, {"tol_outer": 0.0},
                     {"eps_floor": -1.0}, {"max_inner": 0}, {"tol_inner": nan},
                     {"tol_inner": inf}, {"tol_outer": nan}, {"tol_outer": inf},

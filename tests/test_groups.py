@@ -99,3 +99,7 @@ def test_check_regime_windows():
     assert se.check_regime(2.0, 2.0, EUCLIDEAN2) is None
     assert se.check_regime(3.0, 7.0, EUCLIDEAN2) is None
     assert "q > 1" in se.check_regime(2.0, 1.0, EUCLIDEAN2)
+    inf = float("inf")
+    for group in (EUCLIDEAN2, heis):
+        assert "finite p" in se.check_regime(inf, 2.0, group)
+        assert "finite q" in se.check_regime(2.0, inf, group)

@@ -152,13 +152,16 @@ def spy_newton_stages(monkeypatch) -> list:
     return calls
 
 
-def test_warm_start_at_solution_takes_no_steps(rng):
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_warm_start_at_solution_takes_no_steps(monkeypatch, rng, p):
     grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (6, 6))
     f = DualField(grid, rng.standard_normal(grid.n_nodes))
-    z = solve_inner(f, 1.5, 1e-6)
+    z = solve_inner(f, p, 1e-6)
+    calls = spy_newton_stages(monkeypatch)
     stats: dict = {}
-    again = solve_inner(f, 1.5, 1e-6, x0=z, stats=stats)
+    again = solve_inner(f, p, 1e-6, x0=z, stats=stats)
     assert stats["iters"] == 0
+    assert [(c[1], c[2]) for c in calls] == [(1e-8, True)]
     assert np.array_equal(again.values, z.values)
 
 
@@ -186,11 +189,25 @@ def test_abandoned_floor_attempt_reruns_schedule(monkeypatch):
     assert np.max(np.abs(z.values - cold.values)) <= 1e-8 * np.max(np.abs(cold.values))
 
 
-def test_warm_start_above_p2_runs_whole_schedule(monkeypatch, rng):
+def test_warm_start_above_p2_runs_floor_stage_only(monkeypatch):
+    # the warm start of an outer step: the solution for a nearby right-hand side
     grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (6, 6))
-    f = DualField(grid, rng.standard_normal(grid.n_nodes))
-    z = solve_inner(f, 3.0, 1e-6)
+    f = DualField(grid, np.ones(grid.n_nodes))
+    x0 = solve_inner(DualField(grid, 1.1 * f.values), 3.0, 1e-6)
+    cold = solve_inner(f, 3.0, 1e-8)
     calls = spy_newton_stages(monkeypatch)
-    solve_inner(f, 3.0, 1e-6, x0=z)
-    assert [c[1] for c in calls] == [1e-2, 1e-4, 1e-8]
+    stats: dict = {}
+    z = solve_inner(f, 3.0, 1e-8, x0=x0, stats=stats)
+    [(start, eps, guarded, (_, gnorm, iters))] = calls
+    assert guarded and eps == 1e-8 and np.array_equal(start, x0.values)
+    assert gnorm <= 1e-8 * np.linalg.norm(f.values) and stats["iters"] == iters > 0
+    assert np.max(np.abs(z.values - cold.values)) <= 1e-6 * np.max(np.abs(cold.values))
+
+
+def test_eps_floor_above_p2_is_the_last_stage(monkeypatch):
+    grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (6, 6))
+    f = DualField(grid, np.ones(grid.n_nodes))
+    calls = spy_newton_stages(monkeypatch)
+    solve_inner(f, 3.0, 1e-6, eps_floor=1e-4)
+    assert [c[1] for c in calls] == [1e-2, 1e-4]
     assert not any(c[2] for c in calls)

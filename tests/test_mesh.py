@@ -36,6 +36,11 @@ def test_build_grid_rejects_bad_input():
         se.build_grid("euclidean2", [(0, 1), (1, 1)], (3, 3))
     with pytest.raises(ValueError):
         se.build_grid("euclidean2", [(0, 1), (0, 1), (0, 1)], (3, 3, 3))
+    # unbounded axes, and spacings whose h**-2 overflows or underflows
+    for box in ([(0, 1e308), (0, 1)], [(0, 1e-200), (0, 1)], [(0, np.inf), (0, 1)],
+                [(-np.inf, 0), (0, 1)], [(0, np.nan), (0, 1)]):
+        with pytest.raises(ValueError, match="degenerate box"):
+            se.build_grid("euclidean2", box, (8, 8))
 
 
 def test_nodes_strictly_inside_box():

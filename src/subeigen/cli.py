@@ -73,8 +73,8 @@ class RunConfig:
         N = group.topological_dim
         if len(self.box) != N:
             return f"group {self.group} needs {N} box axes, got {len(self.box)}"
-        if any(len(ax) != 2 or not ax[0] < ax[1] for ax in self.box):
-            return f"every box axis needs lo < hi, got {self.box}"
+        if any(len(ax) != 2 for ax in self.box):
+            return f"every box axis needs a lo,hi pair, got {self.box}"
         if len(self.resolution) != N:
             return f"group {self.group} needs {N} resolution entries, got {len(self.resolution)}"
         if any(int(r) < 1 for r in self.resolution):
@@ -182,6 +182,7 @@ def sweep(cfg: RunConfig) -> int:
         print(f"error: {base_message}", file=sys.stderr)
         return 1
     group = get_group(cfg.group)
+    grid = build_grid(group, [tuple(ax) for ax in cfg.box], cfg.resolution)
     ps = sorted(set(float(p) for p in (cfg.sweep_p or [cfg.p])))
     qs = sorted(set(float(q) for q in (cfg.sweep_q or [cfg.q])))
     pairs = []
@@ -196,7 +197,6 @@ def sweep(cfg: RunConfig) -> int:
         print("error: sweep has no admissible (p, q) pairs", file=sys.stderr)
         return 1
 
-    grid = build_grid(group, [tuple(ax) for ax in cfg.box], cfg.resolution)
     solver_cfgs = {(p, q): _solver_config(cfg, grid, p, q) for p, q in pairs}
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -230,7 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--p", type=float, help="gradient exponent p > 1")
     parser.add_argument("--q", type=float, help="norm exponent q > 1")
     parser.add_argument("--method", help="inverse | rayleigh | both")
-    parser.add_argument("--tol-inner", type=float, help="default 1e-8 at p = 2, 1e-6 otherwise")
+    parser.add_argument("--tol-inner", type=float, help="inner tolerance of every outer step "
+                        "that can end the run; earlier steps solve more loosely (default "
+                        "1e-8 at p = 2, 1e-6 otherwise)")
     parser.add_argument("--tol-outer", type=float, help="outer stop tolerance (default 1e-6)")
     parser.add_argument("--eps-floor", type=float, help="the eps of the last inner stage, "
                         "unused at p = 2 (default 1e-8)")

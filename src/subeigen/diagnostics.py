@@ -15,6 +15,7 @@ therefore test exact discrete statements.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,8 @@ __all__ = [
     "regularity_report",
     "embedding_ratio",
 ]
+
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass
@@ -97,21 +100,25 @@ def linf_threshold(lam: float, S: float, l1_norm: float, p: float, q: float,
     Case I (q <= p):  k0 = (2^p S lam)^{nu/p} ||u||_1
     Case II (q > p):  alpha = p (1/q - 1/p + 1/nu),
                       k1 = (S lam 2^q)^{1/alpha} ||u||_1
-    Both are floored at 1, matching the level range the bound addresses.
+    Both are floored at 1, matching the level range the bound addresses, and
+    computed in logarithms: a threshold beyond the float range (large q) is inf.
     """
     if lam <= 0 or S <= 0 or l1_norm <= 0:
         raise ValueError("lam, S and the L^1 norm must all be positive")
+    log_base = math.log(S) + math.log(lam)
     if q <= p:
-        k0 = (2.0 ** p * S * lam) ** (nu / p) * l1_norm
-        return ThresholdInfo(k=max(k0, 1.0), case_tag="I", alpha=None)
-    alpha = p * (1.0 / q - 1.0 / p + 1.0 / nu)
-    if alpha <= 0:
-        raise ValueError(
-            f"internal inconsistency: alpha = {alpha} must be positive in the "
-            f"subcritical window"
-        )
-    k1 = (S * lam * 2.0 ** q) ** (1.0 / alpha) * l1_norm
-    return ThresholdInfo(k=max(k1, 1.0), case_tag="II", alpha=alpha)
+        log_k, tag, alpha = nu / p * (p * math.log(2.0) + log_base), "I", None
+    else:
+        alpha = p * (1.0 / q + (1.0 / nu - 1.0 / p))  # 1/q last would round away at huge q
+        if alpha <= 0:
+            raise ValueError(
+                f"internal inconsistency: alpha = {alpha} must be positive in the "
+                f"subcritical window"
+            )
+        log_k, tag = (q * math.log(2.0) + log_base) / alpha, "II"
+    log_k += math.log(l1_norm)
+    k = math.exp(max(log_k, 0.0)) if log_k < _LOG_FLOAT_MAX else math.inf
+    return ThresholdInfo(k=k, case_tag=tag, alpha=alpha)
 
 
 def level_set_measure(u: Field, k: float) -> float:

@@ -13,7 +13,10 @@ Two independent routes to the same minimum of the Rayleigh quotient
   does not raise the quotient above R(g_n); otherwise w_{n+1} = g_n.  For
   any unit-norm w_n, Hoelder gives R(g_n) <= mu_n <= R(w_n), so with exact
   inner solves both {mu_n} and the quotients R(w_{n+1}) are nonincreasing
-  and squeeze onto a common limit >= the discrete minimum.
+  and squeeze onto a common limit >= the discrete minimum.  Steps far from
+  the fixed point solve inexactly, and such a solve is kept only if its
+  mu_n passes that bracket (within tol_inner), so the monotonicity holds
+  for them too.
 
 * ``rayleigh_minimize`` -- projected descent on the unit L^q sphere along
   the scale-invariant quotient gradient A(u) - R(u) B(u), renormalizing
@@ -52,8 +55,10 @@ class SolverConfig:
 
     Tolerances must be finite and positive: tol_inner defaults to 1e-8 when
     p = 2 (CG path) and 1e-6 otherwise; tol_outer controls both the
-    eigenvalue-change and iterate-change stops.  eps_floor (finite, >= 0) is
-    the eps of the last inner stage, unused at p = 2.
+    eigenvalue-change and iterate-change stops.  tol_inner is the inner
+    tolerance of every inverse-iteration step that can end the run; earlier
+    steps solve to the looser tau_n of inverse_iteration.  eps_floor
+    (finite, >= 0) is the eps of the last inner stage, unused at p = 2.
     """
 
     grid: Grid
@@ -170,6 +175,11 @@ def _start_iterate(grid: Grid, q: float, start: Field | str) -> Field:
 # uses, so the last _ANDERSON_DEPTH + 1 (w, g) pairs are kept.
 _ANDERSON_DEPTH = 5
 
+# Inexact inner solves: while the iterate is still moving, step n first solves
+# to _LOOSE_FACTOR times the previous fixed-point residual, capped at _LOOSE_CAP.
+_LOOSE_FACTOR = 0.1
+_LOOSE_CAP = 1e-2
+
 
 def _anderson_candidate(ws: list[np.ndarray], gs: list[np.ndarray], grid: Grid,
                         q: float) -> Field | None:
@@ -189,6 +199,17 @@ def _anderson_candidate(ws: list[np.ndarray], gs: list[np.ndarray], grid: Grid,
     return normalize(cand, q)
 
 
+def _in_hoelder_bracket(z: Field, p: float, q: float, R_w: float, slack: float) -> bool:
+    """Whether mu = ||z||_q^{1-p} of an inexact solution z of A(z) = B(w)
+    obeys R(z) (1 - slack) <= mu <= R(w) (1 + slack), the bound an exact
+    solution meets; R(w) = R_w is given."""
+    znorm = lq_norm(z, q)
+    if not 0.0 < znorm < math.inf:
+        return False
+    mu = znorm ** (1.0 - p)
+    return p_energy(z, p, 0.0) / znorm ** p * (1.0 - slack) <= mu <= R_w * (1.0 + slack)
+
+
 def inverse_iteration(cfg: SolverConfig, w0: Field | str = "default") -> EigenResult:
     """Nonlinear inverse power iteration for the first (p,q)-eigenpair.
 
@@ -203,13 +224,22 @@ def inverse_iteration(cfg: SolverConfig, w0: Field | str = "default") -> EigenRe
     ||g_n - w_n||_q, and the next solve is warm-started from
     w_{n+1} mu_n^{1/(1-p)}.
 
+    Step n first solves to tau_n = max(tol_inner, min(_LOOSE_CAP,
+    _LOOSE_FACTOR * change_{n-1})), step 0 to max(tol_inner, _LOOSE_CAP),
+    and every step after a change <= tol_outer to tol_inner.  A loose solve
+    is kept only if R(g_n)(1 - tol_inner) <= mu_n <= R(w_n)(1 + tol_inner),
+    the Hoelder bracket with slack; otherwise the same inner solve goes on
+    to tol_inner.  So mu stays nonincreasing and unorm below mu within a
+    slack of about 2 tol_inner.
+
     Stops once both the relative mu-change and the fixed-point residual drop
-    below tol_outer, or at max_outer with converged = False.  The returned
-    eigenfunction, residual and lambda_hat = mu_n belong to g_n of the last
-    completed step.  An inner solve that raises ConvergenceError also stops
-    the iteration with converged = False, returning the last completed
-    step; if the very first inner solve fails, the error propagates.  A zero
-    inner solution signals a solver defect and raises RuntimeError.
+    below tol_outer on a step solved to tol_inner, or at max_outer with
+    converged = False.  The returned eigenfunction, residual and
+    lambda_hat = mu_n belong to g_n of the last completed step.  An inner
+    solve that raises ConvergenceError also stops the iteration with
+    converged = False, returning the last completed step; if the very first
+    inner solve fails, the error propagates.  A zero inner solution signals
+    a solver defect and raises RuntimeError.
     """
     p, q = cfg.p, cfg.q
     w = _start_iterate(cfg.grid, q, w0)
@@ -219,11 +249,15 @@ def inverse_iteration(cfg: SolverConfig, w0: Field | str = "default") -> EigenRe
     gs: list[np.ndarray] = []
     converged = False
     g = warm = None
+    R_w, tol, loose_tol = p_energy(w, p, 0.0), cfg.tol_inner, _LOOSE_CAP
     for _ in range(cfg.max_outer):
         stats: dict = {}
+        loose = None  # a loose tolerance at or below tol_inner is no loose solve
+        if loose_tol > tol:
+            loose = (loose_tol, lambda z: _in_hoelder_bracket(z, p, q, R_w, tol))
         try:
-            z = solve_inner(apply_B(w, q), p, cfg.tol_inner, cfg.max_inner, cfg.eps_floor,
-                            x0=warm, stats=stats)
+            z = solve_inner(apply_B(w, q), p, tol, cfg.max_inner, cfg.eps_floor,
+                            x0=warm, stats=stats, loose=loose)
         except ConvergenceError:
             if not history:
                 raise
@@ -249,11 +283,12 @@ def inverse_iteration(cfg: SolverConfig, w0: Field | str = "default") -> EigenRe
                                        residual(g, mu, p, q)))
         # warm start the next solve near the expected fixed point z* = mu^{1/(1-p)} w
         warm = w_next * (mu ** (1.0 / (1.0 - p)))
-        w = w_next
-        if (len(history) > 1 and abs(history[-2].mu - mu) <= cfg.tol_outer * mu
-                and change <= cfg.tol_outer):
+        w, R_w = w_next, R_next
+        if (not stats.get("loose") and len(history) > 1
+                and abs(history[-2].mu - mu) <= cfg.tol_outer * mu and change <= cfg.tol_outer):
             converged = True
             break
+        loose_tol = tol if change <= cfg.tol_outer else min(_LOOSE_CAP, _LOOSE_FACTOR * change)
 
     return EigenResult(g, history, converged, "inverse")
 

@@ -23,6 +23,7 @@ All tolerances are relative to the data: the reported solution satisfies
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 import numpy as np
 
@@ -155,7 +156,8 @@ def _newton_stage(grid: Grid, fvals: np.ndarray, z: np.ndarray, p: float, eps: f
 
 def solve_inner(f: DualField, p: float, tol: float, max_iters: int = 100_000,
                 eps_floor: float = 1e-8, x0: Field | None = None,
-                history: list | None = None, stats: dict | None = None) -> Field:
+                history: list | None = None, stats: dict | None = None,
+                loose: tuple[float, Callable[[Field], bool]] | None = None) -> Field:
     """Minimize J(z) = (1/p) p_energy(z, p, eps) - <f, z> for p > 1, tol
     finite and positive, eps_floor finite and nonnegative.
 
@@ -169,7 +171,23 @@ def solve_inner(f: DualField, p: float, tol: float, max_iters: int = 100_000,
     raises ConvergenceError.  ``history`` gets the final stage; ``stats``
     (when given) gets {"iters": CG iterations at p = 2, otherwise the
     Newton steps of every stage, abandoned ones included}.
+
+    ``loose = (loose_tol, accept)`` makes the solve stop first at loose_tol
+    and return that z if accept(z) holds; otherwise the solve continues from
+    z to tol.  ``history`` then gets the final stage of each phase run,
+    ``stats["iters"]`` counts both phases and ``stats["loose"]`` says
+    whether the result stopped at loose_tol.
     """
+    if loose is not None:
+        loose_tol, accept = loose
+        first, rest = {}, {"iters": 0}
+        z = solve_inner(f, p, loose_tol, max_iters, eps_floor, x0, history, first)
+        accepted = accept(z)
+        if not accepted:
+            z = solve_inner(f, p, tol, max_iters, eps_floor, z, history, rest)
+        if stats is not None:
+            stats.update(iters=first["iters"] + rest["iters"], loose=accepted)
+        return z
     if not p > 1:
         raise ValueError(f"inner solve requires p > 1, got p = {p}")
     if not (math.isfinite(eps_floor) and eps_floor >= 0):

@@ -362,10 +362,18 @@ def p_energy(u: Field, p: float, eps: float = 0.0) -> float:
 
 
 def lq_norm(u: Field, q: float) -> float:
-    """Volume-weighted L^q norm of the node values, q >= 1."""
+    """Volume-weighted L^q norm of the node values, q >= 1.  Where the sum of
+    |u|^q leaves the normal float range (large q), it is taken of u / max|u|."""
     if q < 1:
         raise ValueError(f"L^q norm requires q >= 1, got q = {q}")
-    return float(np.sum(np.abs(u.values) ** q * u.grid.cell_volume) ** (1.0 / q))
+    absu, vol = np.abs(u.values), u.grid.cell_volume
+    with np.errstate(over="ignore"):
+        total = np.sum(absu ** q * vol)
+    if not np.finfo(float).tiny <= total < np.inf:
+        top = np.max(absu)
+        if 0.0 < top < np.inf:  # not the zero field, and no inf or NaN
+            return float(top * np.sum((absu / top) ** q * vol) ** (1.0 / q))
+    return float(total ** (1.0 / q))
 
 
 def dump_field_csv(u: Field, path) -> None:

@@ -52,13 +52,32 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     assert main(["--group", "euclidean2", "--box", "0,1,0,1", "--resolution", "4,4",
                  "--method", "newton", "--out", str(tmp_path / "x")]) == 1
     capsys.readouterr()
-    # boxes whose spacing h has no finite positive h**-2 (or that are unbounded)
-    for box in ("0,1e308,0,1", "0,1e-200,0,1", "0,inf,0,1"):
-        assert main(["--group", "euclidean2", "--box", box, "--resolution", "8,8",
-                     "--out", str(tmp_path / "x")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: degenerate box") and len(err.splitlines()) == 1
-        assert repr(float(box.split(",")[1])) in err and "Traceback" not in err
+    # boxes whose spacing h has no finite positive h**-2 (or that are unbounded
+    # or NaN), in a single run and in a sweep alike
+    for box in ("0,1e308,0,1", "0,1e-200,0,1", "0,inf,0,1", "0,nan,0,1", "1,0,0,1"):
+        for mode in ([], ["--sweep-p", "2,3"]):
+            assert main(["--group", "euclidean2", "--box", box, "--resolution", "8,8",
+                         *mode, "--out", str(tmp_path / "x")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: degenerate box") and len(err.splitlines()) == 1
+            assert repr(float(box.split(",")[1])) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("q", ["200", "500", "1000", "2000"])
+def test_large_q_keeps_exit_code_contract(tmp_path, capsys, q):
+    # sum |u|^q under- or overflows and the L^inf threshold leaves the float range
+    out = tmp_path / "run"
+    code = main(["--group", "euclidean2", "--box", "0,1,0,1", "--resolution", "8,8",
+                 "--p", "2", "--q", q, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 1:
+        assert err.startswith("error: ") and len(err.splitlines()) == 1 and q in err
+    else:
+        assert code in (0, 2)
+        summary = read_summary(out)
+        assert summary["q"] == float(q) and 0 < summary["lambda_hat"] < np.inf
+        assert (out / "trace.csv").exists()
 
 
 def test_trace_csv_columns(tmp_path):

@@ -53,6 +53,15 @@ def test_linf_threshold_case2_arithmetic():
     assert info.k == pytest.approx(8.0 ** 6, rel=1e-12)
 
 
+def test_linf_threshold_beyond_float_range_is_inf():
+    # (2^q S lam)^(1/alpha) with alpha = p/q overflows for large q; 1/q must
+    # not round away in alpha even at q = 1e308
+    for q in (200.0, 2000.0, 1e308):
+        info = linf_threshold(3.3, 0.55, 0.9, 2.0, q, 2)
+        assert info.case_tag == "II" and info.alpha > 0
+        assert info.k == float("inf")
+
+
 def test_linf_threshold_floors_at_one():
     info = linf_threshold(1e-6, 1e-3, 1e-3, 2.0, 2.0, 4)
     assert info.k == 1.0

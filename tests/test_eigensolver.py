@@ -70,6 +70,57 @@ def test_inverse_iteration_heisenberg_p2_outer_steps():
     assert r.lambda_hat == pytest.approx(lam, rel=1e-8)
 
 
+def spy_inner_solves(monkeypatch) -> list:
+    """Record (f, tol, loose, stats, z) for each inner solve of inverse iteration."""
+    from subeigen import eigensolver
+    real, calls = eigensolver.solve_inner, []
+
+    def solve(f, p, tol, *args, stats=None, loose=None, **kwargs):
+        z = real(f, p, tol, *args, stats=stats, loose=loose, **kwargs)
+        calls.append((f, tol, loose, stats, z))
+        return z
+
+    monkeypatch.setattr(eigensolver, "solve_inner", solve)
+    return calls
+
+
+@pytest.mark.parametrize("p, q", [(2.0, 2.0), (2.0, 3.0), (3.0, 2.0), (1.5, 2.0)])
+def test_inexact_inner_solves(monkeypatch, p, q):
+    cfg = se.SolverConfig(grid=small_square(12), p=p, q=q)
+    calls = spy_inner_solves(monkeypatch)
+    r = se.inverse_iteration(cfg)
+    assert r.converged
+    assert len(calls) == len(r.history)
+    assert [c[3]["iters"] for c in calls] == r.inner_iters_trace
+    looses = [c[2][0] for c in calls if c[2] is not None]
+    assert calls[0][2][0] == 1e-2
+    assert all(cfg.tol_inner < tol <= 1e-2 for tol in looses)
+    assert all(c[1] == cfg.tol_inner for c in calls)
+    assert any(c[3]["loose"] for c in calls if c[2] is not None)
+    # the step that ends the run solved A(z) = B(w) to tol_inner
+    f, _, loose, stats, z = calls[-1]
+    assert loose is None or not stats["loose"]
+    defect = se.apply_A(z, p, cfg.eps_floor).values - f.values
+    assert np.linalg.norm(defect) <= cfg.tol_inner * np.linalg.norm(f.values)
+
+
+@pytest.mark.parametrize("tol_inner", [1e-2, 0.05])
+def test_loose_tol_inner_solves_every_step_at_tol_inner(monkeypatch, tol_inner):
+    cfg = se.SolverConfig(grid=small_square(), p=2.0, q=2.0, tol_inner=tol_inner)
+    calls = spy_inner_solves(monkeypatch)
+    r = se.inverse_iteration(cfg)
+    assert len(calls) == r.outer_iters
+    assert all(c[1] == tol_inner and c[2] is None for c in calls)
+
+
+def test_inexact_inner_solves_cut_cg_work():
+    # 542 CG iterations with every step solved to tol_inner
+    grid = se.build_grid("heisenberg1", [(0, 1), (0, 1), (0, 1)], (10, 10, 10))
+    r = se.inverse_iteration(se.SolverConfig(grid=grid, p=2.0, q=2.0))
+    assert r.converged
+    assert sum(r.inner_iters_trace) <= 460
+
+
 def test_inverse_iteration_heisenberg_q3_converges():
     # reference: unaccelerated inverse iteration with max_outer=5000, as
     # recorded in perfbench/workloads.py

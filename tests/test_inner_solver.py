@@ -211,3 +211,38 @@ def test_eps_floor_above_p2_is_the_last_stage(monkeypatch):
     solve_inner(f, 3.0, 1e-6, eps_floor=1e-4)
     assert [c[1] for c in calls] == [1e-2, 1e-4]
     assert not any(c[2] for c in calls)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_rejected_loose_phase_continues_to_tol(rng, p):
+    grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (8, 8))
+    f = DualField(grid, rng.standard_normal(grid.n_nodes))
+    loose_stats: dict = {}
+    z_loose = solve_inner(f, p, 1e-2, stats=loose_stats)
+    rest: dict = {}
+    expected = solve_inner(f, p, 1e-8, x0=z_loose, stats=rest)
+    seen = []
+    stats: dict = {}
+    z = solve_inner(f, p, 1e-8, stats=stats, loose=(1e-2, lambda z: seen.append(z) or False))
+    [checked] = seen
+    assert np.array_equal(checked.values, z_loose.values)
+    assert np.array_equal(z.values, expected.values)
+    assert stats == {"iters": loose_stats["iters"] + rest["iters"], "loose": False}
+    assert rest["iters"] > 0
+    defect = se.apply_A(z, p, 1e-8).values - f.values
+    assert np.linalg.norm(defect) <= 1e-8 * np.linalg.norm(f.values)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_accepted_loose_phase_returns_early(rng, p):
+    grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (8, 8))
+    f = DualField(grid, rng.standard_normal(grid.n_nodes))
+    loose_stats: dict = {}
+    z_loose = solve_inner(f, p, 1e-2, stats=loose_stats)
+    full: dict = {}
+    solve_inner(f, p, 1e-8, stats=full)
+    stats: dict = {}
+    z = solve_inner(f, p, 1e-8, stats=stats, loose=(1e-2, lambda z: True))
+    assert np.array_equal(z.values, z_loose.values)
+    assert stats == {"iters": loose_stats["iters"], "loose": True}
+    assert stats["iters"] < full["iters"]

@@ -149,6 +149,19 @@ def test_lq_norm_values(unit_square, rng):
         se.lq_norm(u, 0.5)
 
 
+def test_lq_norm_outside_float_range(unit_square, rng):
+    # |u|^q under- or overflows for these (t, q); the norm is still homogeneous
+    u = random_field(unit_square, rng)
+    for q in (2.0, 1000.0):
+        n = se.lq_norm(u, q)
+        for t in (1e-300, 1e300):
+            assert se.lq_norm(t * u, q) == pytest.approx(t * n, rel=1e-12)
+    # values below 0.6: every |w|^2000 underflows to 0, yet the norm is near max |w|
+    w = se.Field(unit_square, 0.3 + 0.3 * rng.random(unit_square.n_nodes))
+    top = float(np.max(w.values))
+    assert 0.9 * top < se.lq_norm(w, 2000.0) <= top
+
+
 def test_lq_norm_sine_anchor():
     g = se.build_grid("euclidean2", [(0, 1), (0, 1)], (64, 64))
     u = se.Field.from_function(g, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))

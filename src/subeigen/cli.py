@@ -15,8 +15,9 @@ mirror the config fields one to one.  A run writes into --out:
 
 Exit codes: 0 converged, 2 ran but not converged (results still written;
 an inner solve that fails after the first outer step ends a run this way),
-1 configuration or validation error (including out-of-range solver
-settings), or an inner solve that fails on the first outer step.
+1 command-line, configuration or validation error (including out-of-range
+solver settings), or an inner solve that fails on the first outer step.
+summary.json is strict JSON: a value that is not finite is written as null.
 Identical config and seed give byte-identical outputs except for the
 runtime_seconds field.
 """
@@ -26,6 +27,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 import typing
@@ -50,11 +52,9 @@ class RunConfig:
     p: float = 2.0
     q: float = 2.0
     method: str = "inverse"  # inverse | rayleigh | both
-    tol_inner: float | None = None
-    tol_outer: float = 1e-6
-    eps_floor: float = 1e-8
-    max_outer: int = 500
-    max_inner: int = 100_000
+    tol_inner: float | None = SolverConfig.tol_inner
+    tol_outer: float = SolverConfig.tol_outer
+    max_outer: int = SolverConfig.max_outer
     seed: int = 0
     output_dir: str = "subeigen_out"
     dump_field: bool = False
@@ -70,18 +70,12 @@ class RunConfig:
             return str(exc)
         if self.method not in ("inverse", "rayleigh", "both"):
             return f"unknown method {self.method!r} (inverse | rayleigh | both)"
-        N = group.topological_dim
-        if len(self.box) != N:
-            return f"group {self.group} needs {N} box axes, got {len(self.box)}"
+        sweeping = self.sweep_p is not None or self.sweep_q is not None
+        if sweeping and self.method == "both":
+            return "a sweep runs one method: inverse or rayleigh, not both"
         if any(len(ax) != 2 for ax in self.box):
             return f"every box axis needs a lo,hi pair, got {self.box}"
-        if len(self.resolution) != N:
-            return f"group {self.group} needs {N} resolution entries, got {len(self.resolution)}"
-        if any(int(r) < 1 for r in self.resolution):
-            return f"resolution must be >= 1 per axis, got {self.resolution}"
-        if self.sweep_p is None and self.sweep_q is None:
-            return check_regime(self.p, self.q, group)
-        return None
+        return None if sweeping else check_regime(self.p, self.q, group)
 
 
 def _conforms(value, kind) -> bool:
@@ -100,11 +94,18 @@ def _float_repr(x) -> str:
     return "" if x is None else repr(float(x))
 
 
+def _finite_or_null(x):
+    """``x`` with every float that is not finite replaced by None (JSON null)."""
+    if isinstance(x, dict):
+        return {k: _finite_or_null(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite_or_null(v) for v in x]
+    return None if isinstance(x, float) and not math.isfinite(x) else x
+
+
 def _solver_config(cfg: RunConfig, grid, p: float, q: float) -> SolverConfig:
-    return SolverConfig(
-        grid=grid, p=p, q=q, tol_inner=cfg.tol_inner, tol_outer=cfg.tol_outer,
-        eps_floor=cfg.eps_floor, max_inner=cfg.max_inner, max_outer=cfg.max_outer,
-    )
+    return SolverConfig(grid=grid, p=p, q=q, tol_inner=cfg.tol_inner,
+                        tol_outer=cfg.tol_outer, max_outer=cfg.max_outer)
 
 
 def _write_trace(result: EigenResult, path: Path) -> None:
@@ -167,7 +168,7 @@ def run(cfg: RunConfig) -> int:
                                                       seed=cfg.seed).lambda_star
 
     with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(_finite_or_null(summary), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     _write_trace(primary, out / "trace.csv")
     if cfg.dump_field:
@@ -177,9 +178,9 @@ def run(cfg: RunConfig) -> int:
 
 def sweep(cfg: RunConfig) -> int:
     """Grid of (p, q) runs; writes one results.csv row per in-window pair."""
-    base_message = dataclasses.replace(cfg, sweep_p=None, sweep_q=None, p=2.0, q=2.0).validate()
-    if base_message is not None:
-        print(f"error: {base_message}", file=sys.stderr)
+    message = cfg.validate()
+    if message is not None:
+        print(f"error: {message}", file=sys.stderr)
         return 1
     group = get_group(cfg.group)
     grid = build_grid(group, [tuple(ax) for ax in cfg.box], cfg.resolution)
@@ -217,8 +218,13 @@ def _parse_floats(text: str) -> list[float]:
     return [float(tok) for tok in text.replace(",", " ").split()]
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):  # main reports it in one line with exit code 1
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="subeigen",
         description="First Dirichlet (p,q)-eigenpair of the horizontal p-Laplacian "
                     "on a box, by inverse iteration and/or Rayleigh quotient descent.",
@@ -233,11 +239,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol-inner", type=float, help="inner tolerance of every outer step "
                         "that can end the run; earlier steps solve more loosely (default "
                         "1e-8 at p = 2, 1e-6 otherwise)")
-    parser.add_argument("--tol-outer", type=float, help="outer stop tolerance (default 1e-6)")
-    parser.add_argument("--eps-floor", type=float, help="the eps of the last inner stage, "
-                        "unused at p = 2 (default 1e-8)")
-    parser.add_argument("--max-outer", type=int, help="outer step cap (default 500)")
-    parser.add_argument("--max-inner", type=int, help="step cap per inner stage (default 100000)")
+    parser.add_argument("--tol-outer", type=float, help="outer stop tolerance "
+                        f"(default {SolverConfig.tol_outer:g})")
+    parser.add_argument("--max-outer", type=int, help="outer step cap "
+                        f"(default {SolverConfig.max_outer})")
     parser.add_argument("--seed", type=int, help="seed of the --oracle multistart (default 0)")
     parser.add_argument("--out", dest="output_dir", help="output directory")
     parser.add_argument("--dump-field", action="store_true", default=None)
@@ -279,9 +284,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
+        cfg = config_from_args(build_parser().parse_args(argv))
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

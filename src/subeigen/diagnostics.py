@@ -77,8 +77,7 @@ def sobolev_constant_from_lambda(lam: float, grid: Grid, p: float, l: float) -> 
     return lam ** (-1.0 / p) * grid.box_volume ** (-_volume_exponent(p, l, nu))
 
 
-def estimate_sobolev_constant(grid: Grid, p: float, l: float,
-                              tol_outer: float = 1e-6, max_outer: int = 500) -> float:
+def estimate_sobolev_constant(grid: Grid, p: float, l: float) -> float:
     """Discrete best constant of the volume-normalized embedding on this grid.
 
     Runs the deterministic quotient minimization for the (p, l) problem and
@@ -88,8 +87,7 @@ def estimate_sobolev_constant(grid: Grid, p: float, l: float,
     message = check_regime(p, l, grid.group)
     if message is not None:
         raise ValueError(f"embedding constant out of regime: {message}")
-    cfg = SolverConfig(grid=grid, p=p, q=l, tol_outer=tol_outer, max_outer=max_outer)
-    result = rayleigh_minimize(cfg)
+    result = rayleigh_minimize(SolverConfig(grid=grid, p=p, q=l))
     return sobolev_constant_from_lambda(result.lambda_hat, grid, p, l)
 
 
@@ -126,12 +124,12 @@ def level_set_measure(u: Field, k: float) -> float:
     return float(np.count_nonzero(u.values > k) * u.grid.cell_volume)
 
 
-def positivity_check(u: Field, core_shrink: float = 0.5) -> tuple[bool, float]:
-    """(all interior values positive, min over the centered shrunken sub-box)."""
+def positivity_check(u: Field) -> tuple[bool, float]:
+    """(all interior values positive, min over the centered half-size sub-box)."""
     if not np.any(u.values):
         raise ValueError("positivity check is undefined for the zero field")
     positive = bool(np.all(u.values > 0.0))
-    core = u.grid.core_mask(core_shrink)
+    core = u.grid.core_mask()
     c = float(np.min(u.values[core])) if np.any(core) else float("nan")
     return positive, c
 
@@ -181,29 +179,25 @@ def decay_inequality_checks(u: Field, lam: float, S: float, p: float, q: float,
     return out
 
 
-def regularity_report(u: Field, lam: float, p: float, q: float,
-                      core_shrink: float = 0.5,
-                      S: float | None = None) -> RegularityReport:
+def regularity_report(u: Field, lam: float, p: float, q: float) -> RegularityReport:
     """Assemble the qualitative-property report for one converged eigenpair.
 
     ``u`` is renormalized to unit L^q norm internally (the bound is stated
-    for that representative).  When S is not given it is taken as the
-    discrete best constant for the exponent pair the active case needs:
-    l = q reuses lam itself; l = p (case I with q < p) runs one extra
-    quotient minimization on the same grid.
+    for that representative).  S is the discrete best constant for the
+    exponent pair the active case needs: l = q reuses lam itself; l = p
+    (case I with q < p) runs one extra quotient minimization on the same
+    grid.
     """
     grid = u.grid
     nu = grid.group.homogeneous_dim
     u = normalize(u, q)
-    if S is None:
-        l_case = p if q <= p else q
-        if l_case == q:
-            S = sobolev_constant_from_lambda(lam, grid, p, q)
-        else:
-            S = estimate_sobolev_constant(grid, p, l_case)
+    if q < p:
+        S = estimate_sobolev_constant(grid, p, p)
+    else:
+        S = sobolev_constant_from_lambda(lam, grid, p, q)
     info = linf_threshold(lam, S, lq_norm(u, 1.0), p, q, nu)
     levels = [(k, level_set_measure(u, k)) for k in _level_grid(u, info.k)]
-    positive, c = positivity_check(u, core_shrink)
+    positive, c = positivity_check(u)
     return RegularityReport(
         sup_norm=float(np.max(np.abs(u.values))),
         k_threshold=info.k,

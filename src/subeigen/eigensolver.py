@@ -51,14 +51,14 @@ __all__ = [
 
 @dataclass
 class SolverConfig:
-    """Everything one eigenpair solve needs.
+    """Everything one eigenpair solve needs, and the owner of its defaults.
 
     Tolerances must be finite and positive: tol_inner defaults to 1e-8 when
     p = 2 (CG path) and 1e-6 otherwise; tol_outer controls both the
     eigenvalue-change and iterate-change stops.  tol_inner is the inner
     tolerance of every inverse-iteration step that can end the run; earlier
-    steps solve to the looser tau_n of inverse_iteration.  eps_floor
-    (finite, >= 0) is the eps of the last inner stage, unused at p = 2.
+    steps solve to the looser tau_n of inverse_iteration.  The inner
+    solve's eps ladder and step cap are fixed (see inner_solver).
     """
 
     grid: Grid
@@ -66,8 +66,6 @@ class SolverConfig:
     q: float
     tol_inner: float | None = None
     tol_outer: float = 1e-6
-    eps_floor: float = 1e-8
-    max_inner: int = 100_000
     max_outer: int = 500
 
     def __post_init__(self):
@@ -81,11 +79,8 @@ class SolverConfig:
             tol = getattr(self, name)
             if not (math.isfinite(tol) and tol > 0):
                 raise ValueError(f"{name} must be finite and positive, got {tol}")
-        if not (math.isfinite(self.eps_floor) and self.eps_floor >= 0):
-            raise ValueError(f"eps_floor must be finite and nonnegative, got {self.eps_floor}")
-        if self.max_outer < 1 or self.max_inner < 1:
-            raise ValueError(f"max_outer and max_inner must be at least 1, got "
-                             f"{self.max_outer} and {self.max_inner}")
+        if self.max_outer < 1:
+            raise ValueError(f"max_outer must be at least 1, got {self.max_outer}")
 
 
 @dataclass(frozen=True)
@@ -256,8 +251,7 @@ def inverse_iteration(cfg: SolverConfig, w0: Field | str = "default") -> EigenRe
         if loose_tol > tol:
             loose = (loose_tol, lambda z: _in_hoelder_bracket(z, p, q, R_w, tol))
         try:
-            z = solve_inner(apply_B(w, q), p, tol, cfg.max_inner, cfg.eps_floor,
-                            x0=warm, stats=stats, loose=loose)
+            z = solve_inner(apply_B(w, q), p, tol, x0=warm, stats=stats, loose=loose)
         except ConvergenceError:
             if not history:
                 raise

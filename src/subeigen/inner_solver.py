@@ -7,14 +7,15 @@ The subproblem behind one inverse-iteration step asks for the unique z with
 i.e. the minimizer of J(z) = (1/p) * p_energy(z, p, eps) - <f, z>.  For
 p = 2 the operator is the linear SPD stiffness G^T G and a Jacobi
 preconditioned conjugate gradient is used.  Otherwise truncated Newton runs
-through the decreasing eps ladder of _eps_ladder (warm-started), since the
-flux weight |grad z|^{p-2} degenerates (p > 2) or blows up (p < 2) where
-the gradient vanishes; a warm start tries the floor eps alone first and
-walks the ladder only if that stops making progress (adaptive
-continuation).  Each Newton step solves G^T D G d = -grad J with the same
-conjugate gradient loop, preconditioned by the exact Hessian diagonal, to
-the relative forcing tolerance min(0.5, sqrt(||grad J|| / ||f||))
-(Eisenstat & Walker), then backtracks on J from the full step (Armijo).
+through the fixed, decreasing eps ladder EPS_LADDER = (1e-2, 1e-4, 1e-8)
+(warm-started), since the flux weight |grad z|^{p-2} degenerates (p > 2)
+or blows up (p < 2) where the gradient vanishes; a warm start tries the
+floor eps 1e-8 alone first and walks the ladder only if that stops making
+progress (adaptive continuation).  Each Newton step solves
+G^T D G d = -grad J with the same conjugate gradient loop, preconditioned
+by the exact Hessian diagonal, to the relative forcing tolerance
+min(0.5, sqrt(||grad J|| / ||f||)) (Eisenstat & Walker), then backtracks
+on J from the full step (Armijo).
 
 All tolerances are relative to the data: the reported solution satisfies
 ||A_eps(z) - f|| <= tol * ||f|| on the node-value arrays.
@@ -42,10 +43,9 @@ class ConvergenceError(RuntimeError):
         self.grad_norm = grad_norm
 
 
-def _eps_ladder(eps_floor: float) -> tuple[float, ...]:
-    """The eps stages of a p != 2 solve: 1e-2 and 1e-4 where above the
-    floor, then eps_floor itself."""
-    return tuple(e for e in (1e-2, 1e-4) if e > eps_floor) + (float(eps_floor),)
+# The eps stages of a p != 2 solve; the last one, the floor eps, is the eps
+# of every returned solution.
+EPS_LADDER = (1e-2, 1e-4, 1e-8)
 
 
 def inner_objective(z: Field, f: DualField, p: float, eps: float) -> float:
@@ -155,15 +155,15 @@ def _newton_stage(grid: Grid, fvals: np.ndarray, z: np.ndarray, p: float, eps: f
 
 
 def solve_inner(f: DualField, p: float, tol: float, max_iters: int = 100_000,
-                eps_floor: float = 1e-8, x0: Field | None = None,
-                history: list | None = None, stats: dict | None = None,
+                x0: Field | None = None, history: list | None = None,
+                stats: dict | None = None,
                 loose: tuple[float, Callable[[Field], bool]] | None = None) -> Field:
-    """Minimize J(z) = (1/p) p_energy(z, p, eps) - <f, z> for p > 1, tol
-    finite and positive, eps_floor finite and nonnegative.
+    """Minimize J(z) = (1/p) p_energy(z, p, eps) - <f, z> for p > 1 and tol
+    finite and positive.
 
-    p = 2 goes to solve_linear_cg (eps_floor unused).  Otherwise truncated
-    Newton runs through _eps_ladder(eps_floor) with warm starts, max_iters
-    capping the Newton steps of each stage.  Given x0, a guarded stage at
+    p = 2 goes to solve_linear_cg.  Otherwise truncated Newton runs through
+    EPS_LADDER with warm starts, max_iters capping the Newton steps of each
+    stage (and the CG iterations at p = 2).  Given x0, a guarded stage at
     the floor eps runs from x0 first; if it gives up (rising Newton
     decrement, cap or stall), the ladder runs from x0.  Cold starts need the
     ladder to reach the floor-eps basin.  The result has ||A_eps(z) - f||
@@ -181,17 +181,15 @@ def solve_inner(f: DualField, p: float, tol: float, max_iters: int = 100_000,
     if loose is not None:
         loose_tol, accept = loose
         first, rest = {}, {"iters": 0}
-        z = solve_inner(f, p, loose_tol, max_iters, eps_floor, x0, history, first)
+        z = solve_inner(f, p, loose_tol, max_iters, x0, history, first)
         accepted = accept(z)
         if not accepted:
-            z = solve_inner(f, p, tol, max_iters, eps_floor, z, history, rest)
+            z = solve_inner(f, p, tol, max_iters, z, history, rest)
         if stats is not None:
             stats.update(iters=first["iters"] + rest["iters"], loose=accepted)
         return z
     if not p > 1:
         raise ValueError(f"inner solve requires p > 1, got p = {p}")
-    if not (math.isfinite(eps_floor) and eps_floor >= 0):
-        raise ValueError(f"eps_floor must be finite and nonnegative, got {eps_floor}")
     if p == 2.0:
         return solve_linear_cg(f, tol, max_iters, x0=x0, stats=stats)
     if not (math.isfinite(tol) and tol > 0):
@@ -200,7 +198,7 @@ def solve_inner(f: DualField, p: float, tol: float, max_iters: int = 100_000,
     tol_abs = tol * fnorm
     # for f = 0 the zero start is the solution and every stage returns it at once
     z = np.zeros(grid.n_nodes) if x0 is None or fnorm == 0.0 else x0.values.copy()
-    total_iters, ladder = 0, _eps_ladder(eps_floor)
+    total_iters, ladder = 0, EPS_LADDER
     if x0 is not None and fnorm > 0.0:
         floor_history: list = []
         z_floor, gnorm, total_iters = _newton_stage(grid, f.values, z, p, ladder[-1], tol_abs,

@@ -175,14 +175,12 @@ class Grid:
         blocks = [G[k * m:(k + 1) * m] for k in range(n1)]
         return sp.csr_matrix(sp.vstack([bk.multiply(bl) for bk in blocks for bl in blocks]))
 
-    def core_mask(self, shrink: float) -> np.ndarray:
-        """Boolean mask of nodes inside the box shrunk about its center."""
-        if not 0.0 < shrink < 1.0:
-            raise ValueError(f"shrink factor must lie in (0, 1), got {shrink}")
+    def core_mask(self) -> np.ndarray:
+        """Boolean mask of nodes inside the half-size box about the center."""
         coords = self.node_coordinates
         mask = np.ones(self.n_nodes, dtype=bool)
         for j, (lo, hi) in enumerate(self.box):
-            c, half = 0.5 * (lo + hi), 0.5 * (hi - lo) * shrink
+            c, half = 0.5 * (lo + hi), 0.25 * (hi - lo)
             mask &= (coords[:, j] >= c - half) & (coords[:, j] <= c + half)
         return mask
 

@@ -15,6 +15,10 @@ def read_summary(out_dir):
         return json.load(fh)
 
 
+def reject_constant(name):
+    raise ValueError(f"summary.json holds {name}, which is not strict JSON")
+
+
 def test_run_valid_euclidean_p2(tmp_path):
     out = tmp_path / "run"
     code = main(["--group", "euclidean2", "--box", "0,1,0,1", "--resolution", "16,16",
@@ -75,8 +79,10 @@ def test_large_q_keeps_exit_code_contract(tmp_path, capsys, q):
         assert err.startswith("error: ") and len(err.splitlines()) == 1 and q in err
     else:
         assert code in (0, 2)
-        summary = read_summary(out)
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=reject_constant)
         assert summary["q"] == float(q) and 0 < summary["lambda_hat"] < np.inf
+        k = summary["regularity"]["k_threshold"]
+        assert k is None or k > 0  # a threshold beyond the float range is written as null
         assert (out / "trace.csv").exists()
 
 
@@ -218,6 +224,46 @@ def test_config_file_with_flag_override(tmp_path):
     assert main(["--config", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("key", ["eps_floor", "max_inner"])
+def test_removed_setting_in_config_is_unknown_key(tmp_path, capsys, key):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({key: 1e-8}))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: unknown config keys: [{key!r}]\n"
+
+
+@pytest.mark.parametrize("flags", [["--bogus", "1"], ["--p", "abc"], ["--eps-floor", "1e-8"],
+                                   ["--max-inner", "1"]])
+def test_parse_error_is_one_error_line(tmp_path, capsys, flags):
+    out = tmp_path / "run"
+    code = main(["--group", "euclidean2", "--box", "0,1,0,1", "--resolution", "4,4",
+                 *flags, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert flags[0] in err and "usage" not in err
+    assert not out.exists()
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    assert "--max-outer" in out and "--eps-floor" not in out and "--max-inner" not in out
+
+
+def test_sweep_rejects_method_both(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    code = main(["--group", "euclidean2", "--box", "0,1,0,1", "--resolution", "4,4",
+                 "--sweep-p", "2,3", "--sweep-q", "2", "--method", "both", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1 and "both" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("config", [{"max_outer": "5"}, {"p": "3"}])
 def test_config_value_of_wrong_type_is_an_error(tmp_path, capsys, config):
     cfg_path = tmp_path / "cfg.json"
@@ -255,10 +301,10 @@ def test_inner_failure_exit_code(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("flags", [["--max-outer", "0"], ["--tol-outer", "0"],
-                                   ["--tol-inner", "0"], ["--eps-floor", "-1"],
-                                   ["--max-inner", "-1"], ["--tol-outer", "nan"],
-                                   ["--tol-inner", "nan"], ["--p", "1.5", "--eps-floor", "nan"],
-                                   ["--eps-floor", "inf"], ["--p", "inf"], ["--q", "inf"]])
+                                   ["--tol-inner", "0"], ["--max-outer", "-1"],
+                                   ["--tol-outer", "-1"], ["--tol-outer", "nan"],
+                                   ["--tol-inner", "nan"], ["--p", "1.5", "--tol-inner", "inf"],
+                                   ["--tol-outer", "inf"], ["--p", "inf"], ["--q", "inf"]])
 def test_out_of_range_solver_setting_is_an_error(tmp_path, capsys, flags):
     out = tmp_path / "run"
     code = main(["--group", "euclidean2", "--box", "0,1,0,1", "--resolution", "4,4",
@@ -272,9 +318,10 @@ def test_out_of_range_solver_setting_is_an_error(tmp_path, capsys, flags):
     assert not (out / "summary.json").exists()
 
 
-def test_first_inner_failure_is_an_error(tmp_path, capsys):
+def test_first_inner_failure_is_an_error(tmp_path, monkeypatch, capsys):
+    fail_inner_solve_on_call(monkeypatch, 1)
     code = main(["--group", "euclidean2", "--box", "0,1,0,1", "--resolution", "6,6",
-                 "--p", "3", "--q", "2", "--max-inner", "1", "--out", str(tmp_path / "run")])
+                 "--p", "3", "--q", "2", "--out", str(tmp_path / "run")])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse.linalg as sla
 
 import subeigen as se
+from subeigen.inner_solver import EPS_LADDER
 from conftest import chain_grid, fail_inner_solve_on_call, random_field
 
 TWO_PI_SQ = 2 * np.pi ** 2
@@ -100,7 +101,7 @@ def test_inexact_inner_solves(monkeypatch, p, q):
     # the step that ends the run solved A(z) = B(w) to tol_inner
     f, _, loose, stats, z = calls[-1]
     assert loose is None or not stats["loose"]
-    defect = se.apply_A(z, p, cfg.eps_floor).values - f.values
+    defect = se.apply_A(z, p, EPS_LADDER[-1]).values - f.values
     assert np.linalg.norm(defect) <= cfg.tol_inner * np.linalg.norm(f.values)
 
 
@@ -228,15 +229,6 @@ def test_rayleigh_minimize_quotient_monotone():
     assert all(rec.unorm is None and rec.residual is None for rec in h[:-1])
 
 
-def test_rayleigh_minimize_ignores_eps_floor():
-    # the descent direction is the gradient of the exact eps = 0 quotient
-    runs = [se.rayleigh_minimize(se.SolverConfig(grid=small_square(), p=1.5, q=2.0,
-                                                 max_outer=5, eps_floor=eps))
-            for eps in (1e-8, 1e-2)]
-    assert [r.history for r in runs[1:]] == [runs[0].history]
-    assert np.array_equal(runs[0].eigenfunction.values, runs[1].eigenfunction.values)
-
-
 def test_rayleigh_minimize_heisenberg_agreement():
     grid = se.build_grid("heisenberg1", [(0, 1), (0, 1), (0, 1)], (16, 16, 16))
     cfg = se.SolverConfig(grid=grid, p=2.0, q=2.0)
@@ -298,9 +290,8 @@ def test_solver_config_validation(unit_square):
         with pytest.raises(ValueError, match="finite [pq] > 1"):
             se.SolverConfig(grid=unit_square, p=p, q=q)
     for setting in ({"max_outer": 0}, {"tol_inner": 0.0}, {"tol_outer": 0.0},
-                    {"eps_floor": -1.0}, {"max_inner": 0}, {"tol_inner": nan},
-                    {"tol_inner": inf}, {"tol_outer": nan}, {"tol_outer": inf},
-                    {"eps_floor": nan}, {"eps_floor": inf}):
+                    {"tol_inner": nan}, {"tol_inner": inf}, {"tol_outer": nan},
+                    {"tol_outer": inf}):
         with pytest.raises(ValueError):
             se.SolverConfig(grid=unit_square, p=3.0, q=2.0, **setting)
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import subeigen as se
 from subeigen.groups import EUCLIDEAN2, HEISENBERG1
@@ -89,17 +91,32 @@ def test_box_volume_scaling():
         assert float(np.prod(scaled)) == pytest.approx(s ** g.homogeneous_dim * vol, rel=1e-14)
 
 
-def test_check_regime_windows():
-    heis = HEISENBERG1
-    assert se.check_regime(2.0, 3.9, heis) is None
-    assert "q < nu*" in se.check_regime(2.0, 4.0, heis)
-    assert "p < nu" in se.check_regime(4.0, 2.0, heis)
-    assert "p > 1" in se.check_regime(1.0, 2.0, heis)
-    # single-layer group: classical case, any p, q > 1
-    assert se.check_regime(2.0, 2.0, EUCLIDEAN2) is None
-    assert se.check_regime(3.0, 7.0, EUCLIDEAN2) is None
-    assert "q > 1" in se.check_regime(2.0, 1.0, EUCLIDEAN2)
-    inf = float("inf")
-    for group in (EUCLIDEAN2, heis):
-        assert "finite p" in se.check_regime(inf, 2.0, group)
-        assert "finite q" in se.check_regime(2.0, inf, group)
+inf, nan = float("inf"), float("nan")
+exponents = (st.floats(1.0, 1.0 + 1e-3) | st.floats(0.5, 8.0)
+             | st.sampled_from((1.0, 4.0, inf, -inf, nan)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(group=st.sampled_from((EUCLIDEAN2, HEISENBERG1)), p=exponents, q=exponents,
+       below=st.floats(1e-12, 1e-2))
+@example(group=HEISENBERG1, p=2.0, q=3.9, below=1e-2)
+@example(group=EUCLIDEAN2, p=3.0, q=7.0, below=1e-2)
+def test_check_regime_windows(group, p, q, below):
+    message = se.check_regime(p, q, group)
+    if not 1.0 < p < inf:
+        assert "finite p > 1" in message
+        return
+    if not 1.0 < q < inf:
+        assert "finite q > 1" in message
+        return
+    if group.n_layers == 1:  # classical case: any finite p, q > 1
+        assert message is None
+        return
+    if not p < group.homogeneous_dim:
+        assert "p < nu" in message
+        return
+    nu_star = se.critical_exponent(p, group.homogeneous_dim)
+    assert message is None if q < nu_star else "q < nu*" in message
+    # the window is open at nu*: a q just below it is admissible, nu* is not
+    assert se.check_regime(p, nu_star * (1.0 - below), group) is None
+    assert "q < nu*" in se.check_regime(p, nu_star, group)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import subeigen as se
 from subeigen.operators import eigen_defect
@@ -7,16 +9,35 @@ from conftest import chain_grid, random_field
 
 P_VALUES = (1.5, 2.0, 3.0, 4.0)
 
+# Small E2 and H1 grids of random shape, and exponents that include p near 1
+# and q just below the Heisenberg critical exponent nu* = 4p/(4 - p).
+small_grids = st.one_of(
+    st.tuples(st.integers(1, 8), st.integers(1, 8)).map(
+        lambda r: se.build_grid("euclidean2", [(0, 1), (0, 2)], r)),
+    st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)).map(
+        lambda r: se.build_grid("heisenberg1", [(0, 1), (0, 1), (0, 1)], r)))
+p_values = st.floats(1.001, 1.05) | st.floats(1.05, 4.0)
 
-def test_apply_A_homogeneity(unit_square, rng):
-    u = random_field(unit_square, rng)
-    for p in P_VALUES:
-        Au = se.apply_A(u, p).values
-        for t in (2.0, -0.7, 0.01):
-            left = se.apply_A(t * u, p).values
-            right = abs(t) ** (p - 2.0) * t * Au
-            # machine precision relative to the output scale (cancellation-safe)
-            assert np.max(np.abs(left - right)) <= 1e-12 * np.max(np.abs(right))
+
+@st.composite
+def pq_pairs(draw):
+    p = draw(st.floats(1.001, 1.05) | st.floats(1.05, 3.5))
+    below_nu_star = st.floats(0.99, 1.0 - 1e-9).map(lambda s: s * se.critical_exponent(p, 4))
+    return p, draw(st.floats(1.001, 6.0) | below_nu_star)
+
+
+property_settings = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@property_settings
+@given(grid=small_grids, p=p_values, t=st.floats(0.01, 10.0) | st.floats(-10.0, -0.01),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_apply_A_homogeneity(grid, p, t, seed):
+    u = random_field(grid, np.random.default_rng(seed))
+    left = se.apply_A(t * u, p).values
+    right = abs(t) ** (p - 2.0) * t * se.apply_A(u, p).values
+    # machine precision relative to the output scale (cancellation-safe)
+    assert np.max(np.abs(left - right)) <= 1e-12 * np.max(np.abs(right))
 
 
 def test_apply_A_linear_at_p2(unit_cube_heis, rng):
@@ -66,17 +87,16 @@ def test_pairing_bilinear_and_grid_check(unit_square, rng):
         se.pairing(d, se.Field.zeros(other))
 
 
-def test_hoelder_bounds_random_pairs(unit_square, unit_cube_heis, rng):
+@property_settings
+@given(grid=small_grids, pq=pq_pairs(), seed=st.integers(0, 2 ** 32 - 1))
+def test_hoelder_bounds_random_pairs(grid, pq, seed):
     # <A v, w> <= ||v||^{p-1} ||w|| and <B v, w> <= ||v||_q^{q-1} ||w||_q
-    for grid in (unit_square, unit_cube_heis):
-        for _ in range(250):
-            v, w = random_field(grid, rng), random_field(grid, rng)
-            for p in (1.5, 2.0, 3.0):
-                bound = se.p_energy(v, p) ** ((p - 1) / p) * se.p_energy(w, p) ** (1 / p)
-                assert se.pairing(se.apply_A(v, p), w) <= bound * (1 + 1e-12)
-            for q in (1.5, 2.0, 3.0):
-                bound = se.lq_norm(v, q) ** (q - 1) * se.lq_norm(w, q)
-                assert se.pairing(se.apply_B(v, q), w) <= bound * (1 + 1e-12)
+    (p, q), rng = pq, np.random.default_rng(seed)
+    v, w = random_field(grid, rng), random_field(grid, rng)
+    bound = se.p_energy(v, p) ** ((p - 1) / p) * se.p_energy(w, p) ** (1 / p)
+    assert se.pairing(se.apply_A(v, p), w) <= bound * (1 + 1e-12)
+    bound = se.lq_norm(v, q) ** (q - 1) * se.lq_norm(w, q)
+    assert se.pairing(se.apply_B(v, q), w) <= bound * (1 + 1e-12)
 
 
 def test_hoelder_equality_at_scalar_multiples(unit_square, rng):
@@ -93,13 +113,13 @@ def test_hoelder_equality_at_scalar_multiples(unit_square, rng):
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
-def test_monotonicity(unit_square, unit_cube_heis, rng):
-    for grid in (unit_square, unit_cube_heis):
-        for p in P_VALUES:
-            for _ in range(100):
-                u, v = random_field(grid, rng), random_field(grid, rng)
-                gap = se.pairing(se.apply_A(u, p) - se.apply_A(v, p), u - v)
-                assert gap >= -1e-12
+@property_settings
+@given(grid=small_grids, p=p_values, seed=st.integers(0, 2 ** 32 - 1))
+def test_monotonicity(grid, p, seed):
+    rng = np.random.default_rng(seed)
+    u, v = random_field(grid, rng), random_field(grid, rng)
+    gap = se.pairing(se.apply_A(u, p) - se.apply_A(v, p), u - v)
+    assert gap >= -1e-12
 
 
 def test_dual_norm_bound(unit_square, rng):

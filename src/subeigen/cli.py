@@ -1,7 +1,9 @@
 """Command line front end: single eigenpair runs and (p,q) sweeps.
 
-Configuration comes from a JSON file (--config) updated by flags that
-mirror the config fields one to one.  A run writes into --out:
+The CLI only parses input, writes artifacts and reports errors: Grid owns
+the group, box and resolution rules, SolverConfig the exponents and solver
+settings.  A JSON file (--config), updated by flags that mirror its fields
+one to one, configures a run, which writes into --out:
 
 * ``summary.json`` -- group/box/resolution/exponents, lambda_hat, residual,
   convergence flag, iteration count, runtime, the regularity report, and
@@ -10,13 +12,16 @@ mirror the config fields one to one.  A run writes into --out:
   unorm_p, lq_change, inner_iters, residual, with an empty cell where the
   method has no value (rayleigh's unorm_p and residual before the last row).
 * ``field.csv`` (--dump-field) -- eigenfunction node values with coordinates.
-* ``results.csv`` (sweep mode) -- one row per (p, q) pair in lexicographic
-  order; out-of-window pairs are skipped with a warning.
+* ``results.csv`` (sweep mode, which takes no --method both, --oracle or
+  --dump-field) -- one row per (p, q) pair in lexicographic order;
+  out-of-window pairs are skipped with a warning.
 
 Exit codes: 0 converged, 2 ran but not converged (results still written;
 an inner solve that fails after the first outer step ends a run this way),
 1 command-line, configuration or validation error (including out-of-range
-solver settings), or an inner solve that fails on the first outer step.
+solver settings and exponents outside check_regime's window), or an inner
+solve that fails on the first outer step.  main reports every error as one
+``error:`` line; an input rejected before the solve writes no --out.
 summary.json is strict JSON: a value that is not finite is written as null.
 Identical config and seed give byte-identical outputs except for the
 runtime_seconds field.
@@ -36,7 +41,7 @@ from pathlib import Path
 
 from .diagnostics import regularity_report
 from .eigensolver import EigenResult, SolverConfig, inverse_iteration, rayleigh_minimize
-from .groups import check_regime, get_group
+from .groups import check_regime
 from .inner_solver import ConvergenceError
 from .mesh import build_grid, dump_field_csv
 from .oracle import NODE_CAP, brute_force_lambda
@@ -62,20 +67,22 @@ class RunConfig:
     sweep_p: list[float] | None = None
     sweep_q: list[float] | None = None
 
-    def validate(self) -> str | None:
-        """Returns an error message naming the violated requirement, or None."""
-        try:
-            group = get_group(self.group)
-        except ValueError as exc:
-            return str(exc)
+    def __post_init__(self):
+        """Rejects what the command line alone can get wrong; Grid checks the
+        group, box and resolution, SolverConfig the exponents and settings."""
         if self.method not in ("inverse", "rayleigh", "both"):
-            return f"unknown method {self.method!r} (inverse | rayleigh | both)"
-        sweeping = self.sweep_p is not None or self.sweep_q is not None
-        if sweeping and self.method == "both":
-            return "a sweep runs one method: inverse or rayleigh, not both"
+            raise ValueError(f"unknown method {self.method!r} (inverse | rayleigh | both)")
+        if self.sweeping and self.method == "both":
+            raise ValueError("a sweep runs one method: inverse or rayleigh, not both")
+        for name in ("oracle", "dump_field"):
+            if self.sweeping and getattr(self, name):
+                raise ValueError(f"{name} applies to a single run, not a sweep")
         if any(len(ax) != 2 for ax in self.box):
-            return f"every box axis needs a lo,hi pair, got {self.box}"
-        return None if sweeping else check_regime(self.p, self.q, group)
+            raise ValueError(f"every box axis needs a lo,hi pair, got {self.box}")
+
+    @property
+    def sweeping(self) -> bool:
+        return self.sweep_p is not None or self.sweep_q is not None
 
 
 def _conforms(value, kind) -> bool:
@@ -120,16 +127,10 @@ def _write_trace(result: EigenResult, path: Path) -> None:
 
 def run(cfg: RunConfig) -> int:
     """Single eigenpair run; writes summary.json, trace.csv and extras."""
-    message = cfg.validate()
-    if message is not None:
-        print(f"error: {message}", file=sys.stderr)
-        return 1
-    group = get_group(cfg.group)
-    grid = build_grid(group, [tuple(ax) for ax in cfg.box], cfg.resolution)
+    grid = build_grid(cfg.group, cfg.box, cfg.resolution)
     if cfg.oracle and grid.n_nodes > NODE_CAP:
-        print(f"error: --oracle needs at most {NODE_CAP} interior nodes, "
-              f"grid has {grid.n_nodes}", file=sys.stderr)
-        return 1
+        raise ValueError(f"--oracle needs at most {NODE_CAP} interior nodes, "
+                         f"grid has {grid.n_nodes}")
     solver_cfg = _solver_config(cfg, grid, cfg.p, cfg.q)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -178,25 +179,19 @@ def run(cfg: RunConfig) -> int:
 
 def sweep(cfg: RunConfig) -> int:
     """Grid of (p, q) runs; writes one results.csv row per in-window pair."""
-    message = cfg.validate()
-    if message is not None:
-        print(f"error: {message}", file=sys.stderr)
-        return 1
-    group = get_group(cfg.group)
-    grid = build_grid(group, [tuple(ax) for ax in cfg.box], cfg.resolution)
+    grid = build_grid(cfg.group, cfg.box, cfg.resolution)
     ps = sorted(set(float(p) for p in (cfg.sweep_p or [cfg.p])))
     qs = sorted(set(float(q) for q in (cfg.sweep_q or [cfg.q])))
     pairs = []
     for p in ps:
         for q in qs:
-            message = check_regime(p, q, group)
+            message = check_regime(p, q, grid.group)
             if message is None:
                 pairs.append((p, q))
             else:
                 print(f"warning: skipping (p={p:g}, q={q:g}): {message}", file=sys.stderr)
     if not pairs:
-        print("error: sweep has no admissible (p, q) pairs", file=sys.stderr)
-        return 1
+        raise ValueError("sweep has no admissible (p, q) pairs")
 
     solver_cfgs = {(p, q): _solver_config(cfg, grid, p, q) for p, q in pairs}
     out = Path(cfg.output_dir)
@@ -212,10 +207,6 @@ def sweep(cfg: RunConfig) -> int:
                      f"{_float_repr(r.lambda_hat)},{_float_repr(r.residual)},"
                      f"{r.outer_iters},{str(r.converged).lower()}\n")
     return 0 if all(r.converged for r in results.values()) else 2
-
-
-def _parse_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.replace(",", " ").split()]
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -266,15 +257,15 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, name, None)
         if value is None:
             continue
+        if name in ("box", "resolution", "sweep_p", "sweep_q"):
+            kind = int if name == "resolution" else float
+            try:
+                value = [kind(tok) for tok in value.replace(",", " ").split()]
+            except ValueError:
+                raise ValueError(f"--{name.replace('_', '-')} needs comma separated "
+                                 f"{kind.__name__} values, got {value!r}") from None
         if name == "box":
-            flat = _parse_floats(value)
-            if len(flat) % 2:
-                raise ValueError("--box needs an even number of values (lo,hi per axis)")
-            value = [[flat[i], flat[i + 1]] for i in range(0, len(flat), 2)]
-        elif name == "resolution":
-            value = [int(v) for v in _parse_floats(value)]
-        elif name in ("sweep_p", "sweep_q"):
-            value = _parse_floats(value)
+            value = [value[i:i + 2] for i in range(0, len(value), 2)]
         data[name] = value
     hints = typing.get_type_hints(RunConfig)
     for f in dataclasses.fields(RunConfig):
@@ -284,16 +275,11 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
+    """The one place that reports an error: one line on stderr, exit code 1."""
     try:
         cfg = config_from_args(build_parser().parse_args(argv))
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        if cfg.sweep_p is not None or cfg.sweep_q is not None:
-            return sweep(cfg)
-        return run(cfg)
-    except (ConvergenceError, ValueError) as exc:
+        return sweep(cfg) if cfg.sweeping else run(cfg)
+    except (ConvergenceError, OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

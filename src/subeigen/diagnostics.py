@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigensolver import SolverConfig, normalize, rayleigh_minimize
-from .groups import check_regime
 from .mesh import Field, Grid, lq_norm, p_energy
 
 __all__ = [
@@ -82,11 +81,8 @@ def estimate_sobolev_constant(grid: Grid, p: float, l: float) -> float:
 
     Runs the deterministic quotient minimization for the (p, l) problem and
     rearranges; the result is the largest S-free ratio over all nonzero
-    fields.  Exponent window checked as for an eigenvalue solve.
+    fields.  SolverConfig rejects an exponent pair outside the window.
     """
-    message = check_regime(p, l, grid.group)
-    if message is not None:
-        raise ValueError(f"embedding constant out of regime: {message}")
     result = rayleigh_minimize(SolverConfig(grid=grid, p=p, q=l))
     return sobolev_constant_from_lambda(result.lambda_hat, grid, p, l)
 

@@ -34,6 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .groups import check_regime
 from .inner_solver import ConvergenceError, solve_inner
 from .mesh import Field, Grid, lq_norm, p_energy
 from .operators import apply_A, apply_B, residual
@@ -53,12 +54,13 @@ __all__ = [
 class SolverConfig:
     """Everything one eigenpair solve needs, and the owner of its defaults.
 
-    Tolerances must be finite and positive: tol_inner defaults to 1e-8 when
-    p = 2 (CG path) and 1e-6 otherwise; tol_outer controls both the
-    eigenvalue-change and iterate-change stops.  tol_inner is the inner
-    tolerance of every inverse-iteration step that can end the run; earlier
-    steps solve to the looser tau_n of inverse_iteration.  The inner
-    solve's eps ladder and step cap are fixed (see inner_solver).
+    (p, q) must lie in groups.check_regime's window and max_outer is an
+    integer >= 1.  Tolerances must be finite and positive: tol_inner
+    defaults to 1e-8 when p = 2 (CG path) and 1e-6 otherwise; tol_outer
+    controls both the eigenvalue-change and iterate-change stops.  tol_inner
+    is the inner tolerance of every inverse-iteration step that can end the
+    run; earlier steps solve to the looser tau_n of inverse_iteration.  The
+    inner solve's eps ladder and step cap are fixed (see inner_solver).
     """
 
     grid: Grid
@@ -69,18 +71,17 @@ class SolverConfig:
     max_outer: int = 500
 
     def __post_init__(self):
-        for name in ("p", "q"):
-            value = getattr(self, name)
-            if not 1 < value < math.inf:
-                raise ValueError(f"requires finite {name} > 1, got {name} = {value}")
+        message = check_regime(self.p, self.q, self.grid.group)
+        if message is not None:
+            raise ValueError(message)
         if self.tol_inner is None:
             self.tol_inner = 1e-8 if self.p == 2.0 else 1e-6
         for name in ("tol_inner", "tol_outer"):
             tol = getattr(self, name)
             if not (math.isfinite(tol) and tol > 0):
                 raise ValueError(f"{name} must be finite and positive, got {tol}")
-        if self.max_outer < 1:
-            raise ValueError(f"max_outer must be at least 1, got {self.max_outer}")
+        if not isinstance(self.max_outer, (int, np.integer)) or self.max_outer < 1:
+            raise ValueError(f"max_outer must be an integer >= 1, got {self.max_outer!r}")
 
 
 @dataclass(frozen=True)

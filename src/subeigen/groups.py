@@ -136,7 +136,7 @@ def get_group(name: str) -> GroupDescriptor:
 
 def dilate(point, s: float, group: GroupDescriptor) -> np.ndarray:
     """Apply the group dilation delta_s: layer-i coordinates scale by s**i."""
-    if s <= 0:
+    if not s > 0:
         raise ValueError(f"dilation factor must be positive, got {s}")
     point = np.asarray(point, dtype=float)
     if point.shape[-1] != group.topological_dim:
@@ -144,28 +144,26 @@ def dilate(point, s: float, group: GroupDescriptor) -> np.ndarray:
             f"point has {point.shape[-1]} coordinates, group {group.name} has "
             f"{group.topological_dim}"
         )
-    exps = np.array(group.dilation_exponents, dtype=float)
-    return point * (s ** exps)
+    # scalar pow: numpy's vectorized power rounds by CPU (AVX-512: 0.1**2.0 = 0.01)
+    return point * np.array([float(s) ** w for w in group.dilation_exponents])
 
 
 def check_regime(p: float, q: float, group: GroupDescriptor) -> str | None:
-    """Validate the exponent window for the eigenvalue problem.
+    """The one owner of the exponent window of the eigenvalue problem.
 
     Returns None when (p, q) is admissible, otherwise a message naming the
-    violated inequality.  For genuinely stratified groups (m > 1) the
-    subcritical window 1 < p < nu, 1 < q < nu* = nu p/(nu - p) is enforced.
-    Single-layer groups are the classical Euclidean case: for p >= N the
-    bounded-domain embedding into L^q is compact for every finite q, so only
-    p > 1 and q > 1 are required.
+    violated inequality: 1 < p < nu and 1 < q < nu* = nu p/(nu - p).  The
+    classical single-layer case waives only p < nu: for p >= nu = N the
+    bounded-domain embedding into L^q is compact for every finite q.
     """
     nu = group.homogeneous_dim
     if not 1.0 < p < np.inf:
         return f"requires finite p > 1, got p = {p}"
     if not 1.0 < q < np.inf:
         return f"requires finite q > 1, got q = {q}"
-    if group.n_layers == 1:
-        return None
     if not p < nu:
+        if group.n_layers == 1:
+            return None
         return f"requires p < nu = {nu} on {group.name}, got p = {p}"
     nu_star = critical_exponent(p, nu)
     if not q < nu_star:

@@ -188,8 +188,6 @@ def solve_inner(f: DualField, p: float, tol: float, max_iters: int = 100_000,
         if stats is not None:
             stats.update(iters=first["iters"] + rest["iters"], loose=accepted)
         return z
-    if not p > 1:
-        raise ValueError(f"inner solve requires p > 1, got p = {p}")
     if p == 2.0:
         return solve_linear_cg(f, tol, max_iters, x0=x0, stats=stats)
     if not (math.isfinite(tol) and tol > 0):

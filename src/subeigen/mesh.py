@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .groups import GroupDescriptor, get_group
+from .groups import GroupDescriptor, dilate, get_group
 
 __all__ = [
     "Grid",
@@ -52,6 +52,8 @@ class Grid:
         if isinstance(group, str):
             group = get_group(group)
         box = tuple((float(lo), float(hi)) for lo, hi in box)
+        if any(int(r) != r for r in resolution):  # no silent truncation of 4.7 to 4
+            raise ValueError(f"resolution must be integers, got {tuple(resolution)}")
         resolution = tuple(int(r) for r in resolution)
         N = group.topological_dim
         if len(box) != N or len(resolution) != N:
@@ -72,7 +74,6 @@ class Grid:
         self.box = box
         self.resolution = resolution
         self.spacings = spacings
-        self.shape = resolution
         self.n_nodes = int(np.prod(resolution))
         self.cell_volume = float(np.prod(self.spacings))
         self.box_volume = float(np.prod([hi - lo for lo, hi in box]))
@@ -193,16 +194,11 @@ def build_grid(group, box, resolution) -> Grid:
 def dilate_grid(grid: Grid, s: float) -> Grid:
     """Grid over the dilated box delta_s(box), same node counts per axis.
 
-    Axis j scales by s**w_j with w_j the axis grading, so spacings rescale
-    accordingly and node coordinates map by the group dilation exactly.
+    The box corners map by the group dilation, so spacings rescale by the
+    axis grading and node coordinates map by the dilation exactly.
     """
-    if s <= 0:
-        raise ValueError(f"dilation factor must be positive, got {s}")
-    exps = grid.group.dilation_exponents
-    box = tuple(
-        (lo * s ** w, hi * s ** w) for (lo, hi), w in zip(grid.box, exps)
-    )
-    return Grid(grid.group, box, grid.resolution)
+    corners = dilate(np.transpose(grid.box), s, grid.group)  # rows: all lo, all hi
+    return Grid(grid.group, corners.T, grid.resolution)
 
 
 @dataclass(frozen=True)
@@ -302,12 +298,16 @@ class EnergyState:
     a = s^{(p-2)/2} and b = (p-2) s^{(p-4)/2}.  The blocks are formed once,
     on first use, for ``hessian_vector(v)`` (G^T D G v) and the exact
     ``hessian_diagonal()``; G^T is the grid's cached ``gradient_transpose``.
-    None of them includes the cell volume.  Callers check p > 1 and eps >= 0.
+    None of them includes the cell volume.  Raises unless p > 1 and eps >= 0.
     """
 
     __slots__ = ("grid", "p", "g", "s", "_a", "_blocks")
 
     def __init__(self, grid: Grid, z: np.ndarray, p: float, eps: float):
+        if not p > 1:
+            raise ValueError(f"p-energy kernel requires p > 1, got p = {p}")
+        if not eps >= 0:
+            raise ValueError(f"regularization eps must be >= 0, got {eps}")
         self.grid = grid
         self.p = p
         self.g = (grid.gradient_matrix @ z).reshape(grid.group.horizontal_dim, grid.n_sites)
@@ -352,17 +352,13 @@ def p_energy(u: Field, p: float, eps: float = 0.0) -> float:
 
     eps = 0 gives the exact discrete energy of the integrand |grad u|^p.
     """
-    if p <= 1:
-        raise ValueError(f"p-energy requires p > 1, got p = {p}")
-    if eps < 0:
-        raise ValueError(f"regularization eps must be >= 0, got {eps}")
     return EnergyState(u.grid, u.values, p, eps).energy() * u.grid.cell_volume
 
 
 def lq_norm(u: Field, q: float) -> float:
     """Volume-weighted L^q norm of the node values, q >= 1.  Where the sum of
     |u|^q leaves the normal float range (large q), it is taken of u / max|u|."""
-    if q < 1:
+    if not q >= 1:
         raise ValueError(f"L^q norm requires q >= 1, got q = {q}")
     absu, vol = np.abs(u.values), u.grid.cell_volume
     with np.errstate(over="ignore"):

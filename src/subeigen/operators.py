@@ -33,16 +33,12 @@ def apply_A(u: Field, p: float, eps: float = 0.0) -> DualField:
     w_sites = (|grad u|^2 + eps^2)^{(p-2)/2} grad u; equivalently the
     negative discrete horizontal divergence of that flux.
     """
-    if p <= 1:
-        raise ValueError(f"operator A requires p > 1, got p = {p}")
-    if eps < 0:
-        raise ValueError(f"regularization eps must be >= 0, got {eps}")
     return DualField(u.grid, EnergyState(u.grid, u.values, p, eps).flux_divergence())
 
 
 def apply_B(u: Field, q: float) -> DualField:
     """Pointwise source term |u|^{q-2} u against the volume pairing."""
-    if q <= 1:
+    if not q > 1:
         raise ValueError(f"operator B requires q > 1, got q = {q}")
     vals = u.values
     return DualField(u.grid, np.abs(vals) ** (q - 2.0) * vals)

@@ -49,6 +49,35 @@ def test_run_rejects_out_of_window_p(tmp_path, capsys):
     assert "p < nu" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p, q", [("1.5", "10"), ("1.2", "3")])
+def test_euclidean_window_below_p2_rejected_before_solve(tmp_path, capsys, monkeypatch, p, q):
+    # on the plane, p < 2 needs q < nu* = 2p/(2 - p), as on a stratified group
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver ran on an out-of-window (p, q)")
+
+    monkeypatch.setattr(cli, "inverse_iteration", no_solve)
+    out = tmp_path / "run"
+    code = main(["--group", "euclidean2", "--box", "0,1,0,1", "--resolution", "8,8",
+                 "--p", p, "--q", q, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1 and "q < nu*" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--resolution", "4.7,4"], ["--resolution", "4,4e0"],
+                                   ["--box", "0,1,0,x"]])
+def test_list_flag_token_of_wrong_type_is_an_error(tmp_path, capsys, flags):
+    # --resolution follows the config file's rule: integers only, no rounding
+    out = tmp_path / "run"
+    code = main(["--group", "euclidean2", "--box", "0,1,0,1", "--resolution", "4,4",
+                 *flags, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flags[0]} ") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_run_rejects_bad_config(tmp_path, capsys):
     assert main(["--group", "nilpotent99", "--out", str(tmp_path / "x")]) == 1
     assert main(["--group", "euclidean2", "--box", "0,1", "--resolution", "4,4",
@@ -261,6 +290,18 @@ def test_sweep_rejects_method_both(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1 and "both" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--oracle", "--dump-field"])
+def test_sweep_rejects_single_run_flags(tmp_path, capsys, flag):
+    out = tmp_path / "sweep"
+    code = main(["--group", "euclidean2", "--box", "0,1,0,1", "--resolution", "4,4",
+                 "--sweep-p", "2,3", flag, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert flag[2:].replace("-", "_") in err
     assert not out.exists()
 
 

@@ -296,6 +296,21 @@ def test_solver_config_validation(unit_square):
             se.SolverConfig(grid=unit_square, p=3.0, q=2.0, **setting)
 
 
+def test_solver_config_owns_the_exponent_window_and_integer_max_outer(unit_square):
+    # outside 1 < q < nu* = nu p/(nu - p): H1 p = 2 (nu* = 4), and E2 p = 1.5 (nu* = 6),
+    # where the classical single-layer case waives only p < nu
+    heis = se.build_grid("heisenberg1", [(0, 1), (0, 1), (0, 1)], (3, 3, 3))
+    for grid, p, q in ((heis, 2.0, 5.0), (heis, 5.0, 2.0), (unit_square, 1.5, 10.0),
+                       (unit_square, 1.5, 6.0)):
+        with pytest.raises(ValueError, match="p < nu|q < nu"):
+            se.SolverConfig(grid=grid, p=p, q=q)
+    se.SolverConfig(grid=unit_square, p=3.0, q=50.0)  # p >= nu on E2: any finite q
+    for max_outer in (2.5, 2.0, "5"):
+        with pytest.raises(ValueError, match="max_outer"):
+            se.SolverConfig(grid=unit_square, p=2.0, q=2.0, max_outer=max_outer)
+    assert se.SolverConfig(grid=unit_square, p=2.0, q=2.0, max_outer=np.int64(3)).max_outer == 3
+
+
 def test_inverse_iteration_near_p1_converges():
     # p = 1.1: the p < 2 weights s^{(p-2)/2} are nearly s^{-1/2} where grad z -> 0
     r = se.inverse_iteration(se.SolverConfig(grid=small_square(32), p=1.1, q=2.0))

@@ -101,6 +101,7 @@ exponents = (st.floats(1.0, 1.0 + 1e-3) | st.floats(0.5, 8.0)
        below=st.floats(1e-12, 1e-2))
 @example(group=HEISENBERG1, p=2.0, q=3.9, below=1e-2)
 @example(group=EUCLIDEAN2, p=3.0, q=7.0, below=1e-2)
+@example(group=EUCLIDEAN2, p=1.5, q=10.0, below=1e-2)
 def test_check_regime_windows(group, p, q, below):
     message = se.check_regime(p, q, group)
     if not 1.0 < p < inf:
@@ -109,11 +110,9 @@ def test_check_regime_windows(group, p, q, below):
     if not 1.0 < q < inf:
         assert "finite q > 1" in message
         return
-    if group.n_layers == 1:  # classical case: any finite p, q > 1
-        assert message is None
-        return
     if not p < group.homogeneous_dim:
-        assert "p < nu" in message
+        # the classical single-layer case waives only p < nu: then any finite q > 1
+        assert message is None if group.n_layers == 1 else "p < nu" in message
         return
     nu_star = se.critical_exponent(p, group.homogeneous_dim)
     assert message is None if q < nu_star else "q < nu*" in message

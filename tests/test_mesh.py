@@ -43,6 +43,12 @@ def test_build_grid_rejects_bad_input():
             se.build_grid("euclidean2", box, (8, 8))
 
 
+def test_build_grid_rejects_fractional_resolution():
+    with pytest.raises(ValueError, match="integers"):
+        se.build_grid("euclidean2", [(0, 1), (0, 1)], (4.7, 4))
+    assert se.build_grid("euclidean2", [(0, 1), (0, 1)], (4.0, np.int64(4))).resolution == (4, 4)
+
+
 def test_nodes_strictly_inside_box():
     g = se.build_grid("heisenberg1", [(0, 1), (-1, 2), (0.5, 0.75)], (3, 4, 2))
     coords = g.node_coordinates
@@ -192,6 +198,17 @@ def test_dilate_grid_scales_spacings():
     assert gd.spacings[0] == pytest.approx(2 * g.spacings[0])
     assert gd.spacings[2] == pytest.approx(4 * g.spacings[2])
     assert gd.box_volume == pytest.approx(2 ** 4 * g.box_volume)
+
+
+def test_dilate_grid_maps_box_corners_by_dilate():
+    # the box is exactly lo * s**w, hi * s**w per axis of grading w, also where a
+    # vectorized power rounds differently (0.1**2)
+    for g in (se.build_grid("euclidean2", [(0.3, 1.7), (-2, 1)], (3, 3)),
+              se.build_grid("heisenberg1", [(0.3, 1.7), (-2, 1), (-0.9, 5.1)], (3, 3, 3))):
+        for s in (0.1, 0.5, 2.0, 3.0, 7.3, 1e-3):
+            expected = tuple((lo * s ** w, hi * s ** w)
+                             for (lo, hi), w in zip(g.box, g.group.dilation_exponents))
+            assert se.dilate_grid(g, s).box == expected
 
 
 def test_field_arithmetic_and_grid_check(unit_square, rng):

@@ -211,3 +211,24 @@ def test_apply_A_zero_gradient_weight():
         assert np.all(np.isfinite(exact))
         near = se.apply_A(u, 1.5, 1e-12).values
         assert np.max(np.abs(exact - near)) <= 1e-9 * np.max(np.abs(near))
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call", [
+    lambda u: se.p_energy(u, NAN),
+    lambda u: se.p_energy(u, 2.0, NAN),
+    lambda u: se.apply_A(u, NAN),
+    lambda u: se.apply_A(u, 3.0, NAN),
+    lambda u: se.apply_B(u, NAN),
+    lambda u: se.lq_norm(u, NAN),
+    lambda u: se.solve_inner(se.apply_B(u, 2.0), NAN, 1e-6),
+    lambda u: se.dilate([1.0, 1.0], NAN, u.grid.group),
+    lambda u: se.dilate_grid(u.grid, NAN),
+], ids=["p_energy-p", "p_energy-eps", "apply_A-p", "apply_A-eps", "apply_B-q", "lq_norm-q",
+        "solve_inner-p", "dilate-s", "dilate_grid-s"])
+def test_nan_exponent_is_rejected(unit_square, call):
+    # each check is written as `not x > bound`, which a NaN fails
+    with pytest.raises(ValueError, match="nan"):
+        call(se.Field.ones(unit_square))

@@ -225,8 +225,10 @@ def inverse_iteration(cfg: SolverConfig, w0: Field | str = "default") -> EigenRe
     and every step after a change <= tol_outer to tol_inner.  A loose solve
     is kept only if R(g_n)(1 - tol_inner) <= mu_n <= R(w_n)(1 + tol_inner),
     the Hoelder bracket with slack; otherwise the same inner solve goes on
-    to tol_inner.  So mu stays nonincreasing and unorm below mu within a
-    slack of about 2 tol_inner.
+    from there one decade tighter, tau_n / 10, tau_n / 100, ..., asking the
+    bracket again at each decade above tol_inner and ending at tol_inner.
+    So mu stays nonincreasing and unorm below mu within a slack of about
+    2 tol_inner.
 
     Stops once both the relative mu-change and the fixed-point residual drop
     below tol_outer on a step solved to tol_inner, or at max_outer with

@@ -172,21 +172,28 @@ def solve_inner(f: DualField, p: float, tol: float, max_iters: int = 100_000,
     (when given) gets {"iters": CG iterations at p = 2, otherwise the
     Newton steps of every stage, abandoned ones included}.
 
-    ``loose = (loose_tol, accept)`` makes the solve stop first at loose_tol
-    and return that z if accept(z) holds; otherwise the solve continues from
-    z to tol.  ``history`` then gets the final stage of each phase run,
-    ``stats["iters"]`` counts both phases and ``stats["loose"]`` says
-    whether the result stopped at loose_tol.
+    ``loose = (loose_tol, accept)`` makes the solve tighten one decade at a
+    time: it stops first at loose_tol and returns that z if accept(z)
+    holds; otherwise it continues from z to loose_tol / 10 and asks again,
+    and so on while the tolerance is above tol.  The decade that reaches
+    tol is final and not asked.  ``history`` then gets the final stage of
+    each decade run, ``stats["iters"]`` counts every decade and
+    ``stats["loose"]`` says whether the result stopped above tol.
     """
     if loose is not None:
-        loose_tol, accept = loose
-        first, rest = {}, {"iters": 0}
-        z = solve_inner(f, p, loose_tol, max_iters, x0, history, first)
-        accepted = accept(z)
-        if not accepted:
-            z = solve_inner(f, p, tol, max_iters, z, history, rest)
+        stage_tol, accept = loose
+        total = 0
+        while True:
+            # a decade that lands on tol up to rounding is the final one
+            final = stage_tol <= tol * (1.0 + 1e-9)
+            stage: dict = {}
+            z = solve_inner(f, p, tol if final else stage_tol, max_iters, x0, history, stage)
+            total += stage["iters"]
+            if final or accept(z):
+                break
+            x0, stage_tol = z, stage_tol / 10.0
         if stats is not None:
-            stats.update(iters=first["iters"] + rest["iters"], loose=accepted)
+            stats.update(iters=total, loose=not final)
         return z
     if p == 2.0:
         return solve_linear_cg(f, tol, max_iters, x0=x0, stats=stats)

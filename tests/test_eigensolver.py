@@ -115,11 +115,12 @@ def test_loose_tol_inner_solves_every_step_at_tol_inner(monkeypatch, tol_inner):
 
 
 def test_inexact_inner_solves_cut_cg_work():
-    # 542 CG iterations with every step solved to tol_inner
+    # 542 CG iterations with every step solved to tol_inner, 244 with loose
+    # solves that tighten one decade at a time when rejected
     grid = se.build_grid("heisenberg1", [(0, 1), (0, 1), (0, 1)], (10, 10, 10))
     r = se.inverse_iteration(se.SolverConfig(grid=grid, p=2.0, q=2.0))
     assert r.converged
-    assert sum(r.inner_iters_trace) <= 460
+    assert sum(r.inner_iters_trace) <= 300
 
 
 def test_inverse_iteration_heisenberg_q3_converges():
@@ -129,6 +130,9 @@ def test_inverse_iteration_heisenberg_q3_converges():
     r = se.inverse_iteration(se.SolverConfig(grid=grid, p=2.0, q=3.0))
     assert r.converged
     assert r.lambda_hat == pytest.approx(10.3541590098619, rel=1e-8)
+    # 1,394 CG iterations; 2,098 if a rejected loose solve jumps straight
+    # to tol_inner
+    assert sum(r.inner_iters_trace) <= 1600
 
 
 def test_inverse_iteration_eigenfunction_contract():

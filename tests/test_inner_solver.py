@@ -196,23 +196,32 @@ def test_warm_start_above_p2_runs_floor_stage_only(monkeypatch):
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
-def test_rejected_loose_phase_continues_to_tol(rng, p):
+def test_rejected_loose_solve_tightens_one_decade_at_a_time(rng, p):
     grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (8, 8))
     f = DualField(grid, rng.standard_normal(grid.n_nodes))
-    loose_stats: dict = {}
-    z_loose = solve_inner(f, p, 1e-2, stats=loose_stats)
-    rest: dict = {}
-    expected = solve_inner(f, p, 1e-8, x0=z_loose, stats=rest)
+    fnorm = np.linalg.norm(f.values)
     seen = []
     stats: dict = {}
     z = solve_inner(f, p, 1e-8, stats=stats, loose=(1e-2, lambda z: seen.append(z) or False))
-    [checked] = seen
-    assert np.array_equal(checked.values, z_loose.values)
-    assert np.array_equal(z.values, expected.values)
-    assert stats == {"iters": loose_stats["iters"] + rest["iters"], "loose": False}
-    assert rest["iters"] > 0
+    # asked once at each of 1e-2, 1e-3, ..., 1e-7, never at tol itself
+    assert len(seen) == 6 and stats["loose"] is False
+    for k, checked in enumerate(seen):
+        defect = se.apply_A(checked, p, 1e-8).values - f.values
+        assert np.linalg.norm(defect) <= 1.001 * 10.0 ** (-2 - k) * fnorm
     defect = se.apply_A(z, p, 1e-8).values - f.values
-    assert np.linalg.norm(defect) <= 1e-8 * np.linalg.norm(f.values)
+    assert np.linalg.norm(defect) <= 1e-8 * fnorm
+
+    first: dict = {}
+    second: dict = {}
+    expected = solve_inner(f, p, 1e-3, x0=solve_inner(f, p, 1e-2, stats=first), stats=second)
+    asked = []
+    stats = {}
+    z = solve_inner(f, p, 1e-8, stats=stats,
+                    loose=(1e-2, lambda z: asked.append(z) or len(asked) == 2))
+    assert len(asked) == 2
+    assert np.array_equal(z.values, expected.values)
+    assert stats == {"iters": first["iters"] + second["iters"], "loose": True}
+    assert second["iters"] > 0
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])

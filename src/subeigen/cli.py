@@ -24,7 +24,9 @@ solve that fails on the first outer step.  main reports every error as one
 ``error:`` line; an input rejected before the solve writes no --out.
 summary.json is strict JSON: a value that is not finite is written as null.
 Identical config and seed give byte-identical outputs except for the
-runtime_seconds field.
+runtime_seconds field on one host with a fixed numpy SIMD path and a fixed
+BLAS thread count (say OPENBLAS_NUM_THREADS=1); threaded BLAS reductions
+can change the last bits of lambda_hat and the inner iteration counts.
 """
 
 from __future__ import annotations

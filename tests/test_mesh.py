@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import subeigen as se
@@ -112,6 +112,38 @@ def test_gradient_refinement_first_order_heisenberg():
     rate2 = errors[1] / errors[2]
     assert 1.5 < rate1 < 2.8
     assert 1.5 < rate2 < 2.8
+
+
+# per axis: box lo, box width, interior node count; 2 axes are euclidean2, 3 heisenberg1
+gradient_axes = st.one_of(*(st.lists(st.tuples(st.floats(-2, 1), st.floats(0.5, 3),
+                                                st.integers(1, 5)), min_size=n, max_size=n)
+                            for n in (2, 3)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(axes=gradient_axes, seed=st.integers(0, 2 ** 32 - 1))
+@example(axes=[(-1.0, 2.0, 1)] * 3, seed=0)  # sites on x = 0 and y = 0: zero coefficients
+def test_gradient_matrix_matches_slicing_stencil(axes, seed):
+    group = "euclidean2" if len(axes) == 2 else "heisenberg1"
+    grid = se.build_grid(group, [(lo, lo + w) for lo, w, _ in axes], [r for *_, r in axes])
+    G = grid.gradient_matrix
+    assert G.has_canonical_format
+    assert np.all(G.data != 0.0)
+    u = np.random.default_rng(seed).standard_normal(grid.n_nodes)
+    padded = np.pad(u.reshape(grid.resolution), 1)  # lattice indices 0..res + 1, zero outside
+    below = (slice(0, -1),) * padded.ndim  # the sites 0..res
+
+    def forward(axis):
+        above = tuple(slice(1, None) if j == axis else slice(0, -1) for j in range(padded.ndim))
+        return ((padded[above] - padded[below]) / grid.spacings[axis]).ravel()
+
+    x, y = grid.site_coordinates[:, 0], grid.site_coordinates[:, 1]
+    X1, X2 = forward(0), forward(1)
+    if group == "heisenberg1":  # X1 = d_x - (y/2) d_t, X2 = d_y + (x/2) d_t
+        X1, X2 = X1 - 0.5 * y * forward(2), X2 + 0.5 * x * forward(2)
+    # absolute slack for entries where the terms cancel
+    scale = np.abs(u).max() * (1 + np.abs(grid.site_coordinates).max()) / min(grid.spacings)
+    np.testing.assert_allclose(G @ u, np.concatenate((X1, X2)), rtol=1e-13, atol=1e-13 * scale)
 
 
 def test_p_energy_zero_and_homogeneity(unit_square, rng):
@@ -225,6 +257,7 @@ def test_field_dump_csv(tmp_path, unit_cube_heis, rng):
     u = random_field(unit_cube_heis, rng)
     path = tmp_path / "field.csv"
     se.dump_field_csv(u, path)
+    assert b"\r" not in path.read_bytes()
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["x", "y", "t", "value"]

@@ -60,7 +60,7 @@ class SolverConfig:
     controls both the eigenvalue-change and iterate-change stops.  tol_inner
     is the inner tolerance of every inverse-iteration step that can end the
     run; earlier steps solve to the looser tau_n of inverse_iteration.  The
-    inner solve's eps ladder and step cap are fixed (see inner_solver).
+    inner solve's eps and step cap are fixed (see inner_solver).
     """
 
     grid: Grid

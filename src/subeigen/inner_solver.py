@@ -6,16 +6,19 @@ The subproblem behind one inverse-iteration step asks for the unique z with
 
 i.e. the minimizer of J(z) = (1/p) * p_energy(z, p, eps) - <f, z>.  For
 p = 2 the operator is the linear SPD stiffness G^T G and a Jacobi
-preconditioned conjugate gradient is used.  Otherwise truncated Newton runs
-through the fixed, decreasing eps ladder EPS_LADDER = (1e-2, 1e-4, 1e-8)
-(warm-started), since the flux weight |grad z|^{p-2} degenerates (p > 2)
-or blows up (p < 2) where the gradient vanishes; a warm start tries the
-floor eps 1e-8 alone first and walks the ladder only if that stops making
-progress (adaptive continuation).  Each Newton step solves
-G^T D G d = -grad J with the same conjugate gradient loop, preconditioned
-by the exact Hessian diagonal, to the relative forcing tolerance
-min(0.5, sqrt(||grad J|| / ||f||)) (Eisenstat & Walker), then backtracks
-on J from the full step (Armijo).
+preconditioned conjugate gradient is used.  Otherwise one loop minimizes J
+at the single eps EPS = 1e-8, which keeps the flux weight
+a = (|grad z|^2 + eps^2)^{(p-2)/2} finite (p < 2) and nonzero (p > 2)
+where the gradient vanishes.  A cold start is the scaled p = 2 solution.
+For p < 2, Kacanov (lagged-diffusivity) steps solve the weighted Laplacian
+G^T diag(a(z)) G z' = f with the weight frozen at z: as s -> s^{p/2} is
+concave, that quadratic majorizes J, so each step lowers J with no line
+search (Kacanov 1959; Diening, Fornasier, Tomasi & Wank 2020).  Once
+||grad J|| <= 1e-2 ||f||, and from the start for p > 2, each step is
+Newton: it solves G^T D G d = -grad J by the same conjugate gradient loop,
+preconditioned by the exact Hessian diagonal, to the relative forcing
+tolerance min(0.5, sqrt(||grad J|| / ||f||)) (Eisenstat & Walker), then
+backtracks on J from the full step (Armijo).
 
 All tolerances are relative to the data: the reported solution satisfies
 ||A_eps(z) - f|| <= tol * ||f|| on the node-value arrays.
@@ -43,9 +46,8 @@ class ConvergenceError(RuntimeError):
         self.grad_norm = grad_norm
 
 
-# The eps stages of a p != 2 solve; the last one, the floor eps, is the eps
-# of every returned solution.
-EPS_LADDER = (1e-2, 1e-4, 1e-8)
+# The regularization eps of every p != 2 solve.
+EPS = 1e-8
 
 
 def inner_objective(z: Field, f: DualField, p: float, eps: float) -> float:
@@ -103,51 +105,59 @@ def solve_linear_cg(f: DualField, tol: float, max_iters: int = 100_000,
     )
 
 
-def _newton_stage(grid: Grid, fvals: np.ndarray, z: np.ndarray, p: float, eps: float,
-                  tol_abs: float, max_iters: int, history: list | None,
-                  guarded: bool = False) -> tuple[np.ndarray, float, int]:
-    """Minimize J at fixed eps by line-search Newton-PCG; returns (z,
-    grad_norm, iters) once grad_norm <= tol_abs or after max_iters steps.
+def _minimize(grid: Grid, fvals: np.ndarray, z: np.ndarray | None, p: float, tol_abs: float,
+              max_iters: int, history: list | None) -> tuple[np.ndarray, float, int]:
+    """Minimize J at EPS by the steps of the module docstring; returns (z,
+    grad_norm, steps) once grad_norm <= tol_abs or after max_iters steps.
 
-    J cannot judge a step whose predicted decrease -grad.d is below J's
-    rounding noise, so such a step is taken whole if it lowers ||grad J||.
-    If it does not, or backtracking shrinks the predicted decrease to that
-    noise, ConvergenceError ("line search stalled") is raised; a ``guarded``
-    stage returns unconverged instead, and also at a Newton decrement not
-    below the previous one.  Accepted objective values (volume factor
-    excluded) go to ``history`` when given.
+    z = None starts cold, which is one step.  A Newton step whose predicted
+    decrease -grad.d is below J's rounding noise is taken whole if it lowers
+    ||grad J||; if it does not, or backtracking shrinks the predicted
+    decrease to that noise, ConvergenceError ("line search stalled") is
+    raised.  J at each iterate (volume factor excluded) goes to ``history``
+    when given.
     """
-    fnorm = float(np.linalg.norm(fvals))
-    state = EnergyState(grid, z, p, eps)
+    fnorm, cold = float(np.linalg.norm(fvals)), z is None
+    if cold:  # G^T G z = f to 1e-1, scaled to the minimizer of J_0 along its ray
+        flat = EnergyState(grid, np.zeros(grid.n_nodes), 2.0, 0.0)  # a = 1
+        z, _, _ = _pcg(lambda v: flat.hessian_vector(v, frozen=True), fvals,
+                       1.0 / flat.hessian_diagonal(frozen=True), np.zeros(grid.n_nodes),
+                       0.1 * fnorm, grid.n_nodes)
+        z *= (np.dot(fvals, z) / EnergyState(grid, z, p, 0.0).energy()) ** (1.0 / (p - 1.0))
+    state = EnergyState(grid, z, p, EPS)
     energy, fz = state.energy() / p, float(np.dot(fvals, z))
     grad = state.flux_divergence() - fvals
-    last_decrement = np.inf
-    for it in range(max_iters + 1):
+    kacanov = p < 2.0
+    for it in range(int(cold), max_iters + 1):
         if history is not None:
             history.append(energy - fz)
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= tol_abs or it == max_iters:
             return z, gnorm, it
-        d, _, _ = _pcg(state.hessian_vector, -grad, 1.0 / state.hessian_diagonal(),
-                       np.zeros_like(z), min(0.5, np.sqrt(gnorm / fnorm)) * gnorm, grid.n_nodes)
+        kacanov = kacanov and gnorm > 1e-2 * fnorm  # once Newton, always Newton
+        if kacanov:
+            d = _pcg(lambda v: state.hessian_vector(v, frozen=True), fvals,
+                     1.0 / state.hessian_diagonal(frozen=True), z.copy(), 0.5 * gnorm,
+                     grid.n_nodes)[0] - z
+        else:
+            d, _, _ = _pcg(state.hessian_vector, -grad, 1.0 / state.hessian_diagonal(),
+                           np.zeros_like(z), min(0.5, np.sqrt(gnorm / fnorm)) * gnorm,
+                           grid.n_nodes)
         decrement = -float(np.dot(grad, d))
-        if guarded and not decrement < last_decrement:
-            return z, gnorm, it
-        last_decrement = decrement
         noise = 64 * np.finfo(float).eps * (abs(energy) + abs(fz))
         step, stalled = 1.0, False
-        while not stalled:
+        while not stalled:  # a Kacanov step is taken whole
             z_try = z + step * d
-            trial = EnergyState(grid, z_try, p, eps)
-            energy_try, fz_try = trial.energy() / p, float(np.dot(fvals, z_try))
-            if decrement <= noise or energy_try - fz_try <= energy - fz - 1e-4 * step * decrement:
+            with np.errstate(over="ignore"):  # a J that overflows fails the Armijo test
+                trial = EnergyState(grid, z_try, p, EPS)
+                energy_try, fz_try = trial.energy() / p, float(np.dot(fvals, z_try))
+            if kacanov or decrement <= noise or \
+                    energy_try - fz_try <= energy - fz - 1e-4 * step * decrement:
                 break
             step *= 0.5
             stalled = not step * decrement > noise  # also stops on a NaN direction
         grad_try = trial.flux_divergence() - fvals
-        if stalled or decrement <= noise and np.linalg.norm(grad_try) >= gnorm:
-            if guarded:
-                return z, gnorm, it
+        if stalled or not kacanov and decrement <= noise and np.linalg.norm(grad_try) >= gnorm:
             raise ConvergenceError(
                 f"inner solve missed tolerance {tol_abs / fnorm:g} (line search stalled; "
                 f"relative gradient {gnorm / fnorm:.3e})", Field(grid, z), gnorm)
@@ -158,26 +168,23 @@ def solve_inner(f: DualField, p: float, tol: float, max_iters: int = 100_000,
                 x0: Field | None = None, history: list | None = None,
                 stats: dict | None = None,
                 loose: tuple[float, Callable[[Field], bool]] | None = None) -> Field:
-    """Minimize J(z) = (1/p) p_energy(z, p, eps) - <f, z> for p > 1 and tol
+    """Minimize J(z) = (1/p) p_energy(z, p, EPS) - <f, z> for p > 1 and tol
     finite and positive.
 
-    p = 2 goes to solve_linear_cg.  Otherwise truncated Newton runs through
-    EPS_LADDER with warm starts, max_iters capping the Newton steps of each
-    stage (and the CG iterations at p = 2).  Given x0, a guarded stage at
-    the floor eps runs from x0 first; if it gives up (rising Newton
-    decrement, cap or stall), the ladder runs from x0.  Cold starts need the
-    ladder to reach the floor-eps basin.  The result has ||A_eps(z) - f||
-    <= tol * ||f|| at the floor eps, or the cap or a line-search stall
-    raises ConvergenceError.  ``history`` gets the final stage; ``stats``
-    (when given) gets {"iters": CG iterations at p = 2, otherwise the
-    Newton steps of every stage, abandoned ones included}.
+    p = 2 goes to solve_linear_cg.  Otherwise the steps of the module
+    docstring run from x0, or from the cold start when x0 is None, until
+    ||A_eps(z) - f|| <= tol * ||f||; the cap of max_iters steps (CG
+    iterations at p = 2) or a line-search stall raises ConvergenceError.
+    ``history`` gets J at each iterate; ``stats`` (when given) gets
+    {"iters": CG iterations at p = 2, otherwise the steps, the cold start
+    counting as one}.
 
     ``loose = (loose_tol, accept)`` makes the solve tighten one decade at a
     time: it stops first at loose_tol and returns that z if accept(z)
     holds; otherwise it continues from z to loose_tol / 10 and asks again,
     and so on while the tolerance is above tol.  The decade that reaches
-    tol is final and not asked.  ``history`` then gets the final stage of
-    each decade run, ``stats["iters"]`` counts every decade and
+    tol is final and not asked.  ``history`` then gets J at the iterates
+    of every decade, ``stats["iters"]`` counts every decade and
     ``stats["loose"]`` says whether the result stopped above tol.
     """
     if loose is not None:
@@ -200,30 +207,15 @@ def solve_inner(f: DualField, p: float, tol: float, max_iters: int = 100_000,
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     grid, fnorm = f.grid, float(np.linalg.norm(f.values))
-    tol_abs = tol * fnorm
-    # for f = 0 the zero start is the solution and every stage returns it at once
-    z = np.zeros(grid.n_nodes) if x0 is None or fnorm == 0.0 else x0.values.copy()
-    total_iters, ladder = 0, EPS_LADDER
-    if x0 is not None and fnorm > 0.0:
-        floor_history: list = []
-        z_floor, gnorm, total_iters = _newton_stage(grid, f.values, z, p, ladder[-1], tol_abs,
-                                                    max_iters, floor_history, guarded=True)
-        if gnorm <= tol_abs:
-            z, ladder = z_floor, ()
-            if history is not None:
-                history.extend(floor_history)
-    for i, eps in enumerate(ladder):
-        final = i == len(ladder) - 1
-        stage_tol = tol_abs if final else max(10.0 * tol_abs, 1e-3 * fnorm)
-        z, gnorm, iters = _newton_stage(grid, f.values, z, p, eps, stage_tol, max_iters,
-                                        history if final else None)
-        total_iters += iters
-        if final and gnorm > tol_abs:
-            raise ConvergenceError(
-                f"inner solve missed tolerance {tol:g} ({max_iters} iterations "
-                f"exhausted; relative gradient {gnorm / fnorm:.3e})",
-                Field(grid, z), gnorm,
-            )
+    # for f = 0 the zero start is the solution
+    z = np.zeros(grid.n_nodes) if fnorm == 0.0 else None if x0 is None else x0.values.copy()
+    z, gnorm, iters = _minimize(grid, f.values, z, p, tol * fnorm, max_iters, history)
+    if gnorm > tol * fnorm:
+        raise ConvergenceError(
+            f"inner solve missed tolerance {tol:g} ({max_iters} iterations "
+            f"exhausted; relative gradient {gnorm / fnorm:.3e})",
+            Field(grid, z), gnorm,
+        )
     if stats is not None:
-        stats["iters"] = total_iters
+        stats["iters"] = iters
     return Field(grid, z)

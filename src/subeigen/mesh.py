@@ -285,8 +285,10 @@ class EnergyState:
     where each site contributes the n1 x n1 block D = a I + b g g^T with
     a = s^{(p-2)/2} and b = (p-2) s^{(p-4)/2}.  The blocks are formed once,
     on first use, for ``hessian_vector(v)`` (G^T D G v) and the exact
-    ``hessian_diagonal()``; G^T is the grid's cached ``gradient_transpose``.
-    None of them includes the cell volume.  Raises unless p > 1 and eps >= 0.
+    ``hessian_diagonal()``; with ``frozen=True`` both drop the b term and
+    give G^T diag(a) G, the operator of the flux weight frozen at z.  G^T
+    is the grid's cached ``gradient_transpose``.  None of them includes the
+    cell volume.  Raises unless p > 1 and eps >= 0.
     """
 
     __slots__ = ("grid", "p", "g", "s", "_a", "_blocks")
@@ -326,13 +328,16 @@ class EnergyState:
     def flux_divergence(self) -> np.ndarray:
         return self.grid.gradient_transpose @ (self.g * self._flux_weight()).ravel()
 
-    def hessian_vector(self, v: np.ndarray) -> np.ndarray:
+    def hessian_vector(self, v: np.ndarray, frozen: bool = False) -> np.ndarray:
         h = (self.grid.gradient_matrix @ v).reshape(self.g.shape)
-        w = np.einsum("klm,lm->km", self._hessian_blocks(), h)
+        w = (self._flux_weight() * h if frozen
+             else np.einsum("klm,lm->km", self._hessian_blocks(), h))
         return self.grid.gradient_transpose @ w.ravel()
 
-    def hessian_diagonal(self) -> np.ndarray:
-        return self.grid.gradient_products.T @ self._hessian_blocks().ravel()
+    def hessian_diagonal(self, frozen: bool = False) -> np.ndarray:
+        blocks = (np.eye(len(self.g))[:, :, None] * self._flux_weight() if frozen
+                  else self._hessian_blocks())
+        return self.grid.gradient_products.T @ blocks.ravel()
 
 
 def p_energy(u: Field, p: float, eps: float = 0.0) -> float:

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as sla
 
 import subeigen as se
-from subeigen.inner_solver import EPS_LADDER
+from subeigen.inner_solver import EPS
 from conftest import chain_grid, fail_inner_solve_on_call, random_field
 
 TWO_PI_SQ = 2 * np.pi ** 2
@@ -101,7 +103,7 @@ def test_inexact_inner_solves(monkeypatch, p, q):
     # the step that ends the run solved A(z) = B(w) to tol_inner
     f, _, loose, stats, z = calls[-1]
     assert loose is None or not stats["loose"]
-    defect = se.apply_A(z, p, EPS_LADDER[-1]).values - f.values
+    defect = se.apply_A(z, p, EPS).values - f.values
     assert np.linalg.norm(defect) <= cfg.tol_inner * np.linalg.norm(f.values)
 
 
@@ -320,3 +322,22 @@ def test_inverse_iteration_near_p1_converges():
     r = se.inverse_iteration(se.SolverConfig(grid=small_square(32), p=1.1, q=2.0))
     assert r.converged
     assert r.lambda_hat == pytest.approx(4.597932271, rel=1e-6)
+
+
+def test_inverse_iteration_heisenberg_sublinear_work_bound():
+    # 230 Newton steps from the eps ladder; Kacanov steps then Newton take 54
+    grid = se.build_grid("heisenberg1", [(0, 1), (0, 1), (0, 1)], (12, 12, 12))
+    r = se.inverse_iteration(se.SolverConfig(grid=grid, p=1.3, q=1.3))
+    assert r.converged
+    assert r.lambda_hat == pytest.approx(7.6207667662, rel=1e-8)
+    assert sum(r.inner_iters_trace) <= 115
+
+
+@pytest.mark.parametrize("p", [40.0, 100.0])
+def test_large_p_solves_without_overflow_warnings(p):
+    # rejected line-search trials overflow J, and at z = 0 the weight
+    # eps^{p-2} underflows to 0, so no solve may start its steps there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        r = se.inverse_iteration(se.SolverConfig(grid=small_square(16), p=p, q=2.0))
+    assert r.converged

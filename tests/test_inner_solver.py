@@ -4,7 +4,7 @@ import pytest
 import subeigen as se
 from subeigen.inner_solver import (
     ConvergenceError,
-    _newton_stage,
+    _minimize,
     inner_objective,
     solve_inner,
     solve_linear_cg,
@@ -56,7 +56,7 @@ def test_p4_matches_derivative_free_minimizer(rng):
     grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (3, 3))
     f = DualField(grid, rng.standard_normal(9))
     z = solve_inner(f, 4.0, 1e-8)
-    eps = 1e-8  # the floor eps at p >= 2
+    eps = 1e-8  # the eps of every p != 2 solve
 
     def batch(X):
         return np.array([inner_objective(se.Field(grid, row), f, 4.0, eps) for row in X])
@@ -73,8 +73,8 @@ def test_cg_and_newton_agree_at_p2(rng):
     f = DualField(grid, rng.standard_normal(grid.n_nodes))
     tol = 1e-8
     z_cg = solve_linear_cg(f, tol)
-    z_newton, _, _ = _newton_stage(grid, f.values, np.zeros(grid.n_nodes), 2.0, 1e-8,
-                                   tol * np.linalg.norm(f.values), 100, None)
+    z_newton, _, _ = _minimize(grid, f.values, np.zeros(grid.n_nodes), 2.0,
+                               tol * np.linalg.norm(f.values), 100, None)
     assert np.max(np.abs(z_cg.values - z_newton)) < 10 * tol
 
 
@@ -128,70 +128,60 @@ def test_unreachable_tolerance_stalls_out(rng):
         solve_inner(f, 4.0, 1e-20)
 
 
-def spy_newton_stages(monkeypatch) -> list:
-    """Record (start, eps, guarded, (z, grad_norm, iters)) for each Newton stage."""
-    from subeigen import inner_solver
-    real, calls = inner_solver._newton_stage, []
+def spy_steps(monkeypatch) -> list:
+    """Record the ``frozen`` flag of every EnergyState.hessian_diagonal call:
+    one per step, True for the cold start and Kacanov steps, False for Newton."""
+    from subeigen.mesh import EnergyState
+    real, calls = EnergyState.hessian_diagonal, []
 
-    def stage(grid, fvals, z, p, eps, *args, guarded=False):
-        start = z.copy()
-        out = real(grid, fvals, z, p, eps, *args, guarded=guarded)
-        calls.append((start, eps, guarded, out))
-        return out
+    def diagonal(self, frozen=False):
+        calls.append(frozen)
+        return real(self, frozen)
 
-    monkeypatch.setattr(inner_solver, "_newton_stage", stage)
+    monkeypatch.setattr(EnergyState, "hessian_diagonal", diagonal)
     return calls
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0])
-def test_warm_start_at_solution_takes_no_steps(monkeypatch, rng, p):
+def test_warm_start_at_solution_takes_no_steps(rng, p):
     grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (6, 6))
     f = DualField(grid, rng.standard_normal(grid.n_nodes))
     z = solve_inner(f, p, 1e-6)
-    calls = spy_newton_stages(monkeypatch)
     stats: dict = {}
     again = solve_inner(f, p, 1e-6, x0=z, stats=stats)
     assert stats["iters"] == 0
-    assert [(c[1], c[2]) for c in calls] == [(1e-8, True)]
     assert np.array_equal(again.values, z.values)
 
 
-def test_abandoned_floor_attempt_reruns_schedule(monkeypatch):
-    # a small random start at p = 1.2: the floor-eps Newton decrement rises
-    # after a few steps, so the schedule has to take over
+@pytest.mark.parametrize("p", [1.2, 1.5])
+def test_rough_warm_start_below_p2(monkeypatch, p):
+    # a start far from the solution's gradient scale, where backtracking on
+    # the s^{(p-2)/2}-weighted Newton step takes tiny steps
     grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (6, 6))
     f = DualField(grid, np.ones(grid.n_nodes))
-    x0 = se.Field(grid, 0.01 * np.random.default_rng(1).standard_normal(grid.n_nodes))
-    cold = solve_inner(f, 1.2, 1e-10)
-    calls = spy_newton_stages(monkeypatch)
+    x0 = se.Field(grid, np.random.default_rng(0).standard_normal(grid.n_nodes))
+    cold = solve_inner(f, p, 1e-10)
+    calls = spy_steps(monkeypatch)
     hist: list = []
     stats: dict = {}
-    z = solve_inner(f, 1.2, 1e-10, x0=x0, history=hist, stats=stats)
-    start, eps, guarded, (_, gnorm, abandoned) = calls[0]
-    assert guarded and eps == 1e-8 and np.array_equal(start, x0.values)
-    assert gnorm > 1e-10 * np.linalg.norm(f.values) and abandoned > 0
-    assert [c[1] for c in calls[1:]] == [1e-2, 1e-4, 1e-8]
-    assert not any(c[2] for c in calls[1:])
-    assert np.array_equal(calls[1][0], x0.values)
-    assert stats["iters"] == sum(c[3][2] for c in calls)
-    assert len(hist) == calls[-1][3][2] + 1
+    z = solve_inner(f, p, 1e-10, x0=x0, history=hist, stats=stats)
+    assert stats["iters"] == len(calls) == len(hist) - 1 <= 50
+    assert calls[0] and not calls[-1]  # Kacanov steps first, Newton steps to finish
     hist = np.array(hist)
     assert np.all(np.diff(hist) <= 1e-10 * np.maximum(np.abs(hist[:-1]), 1.0))
     assert np.max(np.abs(z.values - cold.values)) <= 1e-8 * np.max(np.abs(cold.values))
 
 
-def test_warm_start_above_p2_runs_floor_stage_only(monkeypatch):
+def test_warm_start_above_p2_runs_newton_steps_only(monkeypatch):
     # the warm start of an outer step: the solution for a nearby right-hand side
     grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (6, 6))
     f = DualField(grid, np.ones(grid.n_nodes))
     x0 = solve_inner(DualField(grid, 1.1 * f.values), 3.0, 1e-6)
     cold = solve_inner(f, 3.0, 1e-8)
-    calls = spy_newton_stages(monkeypatch)
+    calls = spy_steps(monkeypatch)
     stats: dict = {}
     z = solve_inner(f, 3.0, 1e-8, x0=x0, stats=stats)
-    [(start, eps, guarded, (_, gnorm, iters))] = calls
-    assert guarded and eps == 1e-8 and np.array_equal(start, x0.values)
-    assert gnorm <= 1e-8 * np.linalg.norm(f.values) and stats["iters"] == iters > 0
+    assert calls == [False] * stats["iters"] and stats["iters"] > 0
     assert np.max(np.abs(z.values - cold.values)) <= 1e-6 * np.max(np.abs(cold.values))
 
 

@@ -19,9 +19,11 @@ one to one, configures a run, which writes into --out:
 Exit codes: 0 converged, 2 ran but not converged (results still written;
 an inner solve that fails after the first outer step ends a run this way),
 1 command-line, configuration or validation error (including out-of-range
-solver settings and exponents outside check_regime's window), or an inner
-solve that fails on the first outer step.  main reports every error as one
-``error:`` line; an input rejected before the solve writes no --out.
+solver settings and exponents outside check_regime's window), an inner
+solve that fails on the first outer step, or a start iterate whose Rayleigh
+quotient overflows the float range (large p on a small box; the message
+names p).  main reports every error as one ``error:`` line; an input
+rejected before the solve writes no --out.
 summary.json is strict JSON: a value that is not finite is written as null.
 Identical config and seed give byte-identical outputs except for the
 runtime_seconds field on one host with a fixed numpy SIMD path and a fixed
@@ -281,7 +283,8 @@ def main(argv=None) -> int:
     try:
         cfg = config_from_args(build_parser().parse_args(argv))
         return sweep(cfg) if cfg.sweeping else run(cfg)
-    except (ConvergenceError, OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+    except (ConvergenceError, OSError, OverflowError, ValueError) as exc:
+        # JSONDecodeError is a ValueError; OverflowError a start quotient past float range
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -24,7 +24,8 @@ Two independent routes to the same minimum of the Rayleigh quotient
 
 Both return an EigenResult whose eigenfunction has unit L^q norm and
 nonnegative node sum (sign fixed for deterministic output), and whose
-history holds one IterationRecord per outer step.
+history holds one IterationRecord per outer step.  Both raise OverflowError
+when the quotient of the start iterate leaves the float range.
 """
 
 from __future__ import annotations
@@ -145,9 +146,10 @@ def normalize(u: Field, q: float) -> Field:
     return Field(u.grid, vals)
 
 
-def _start_iterate(grid: Grid, q: float, start: Field | str) -> Field:
-    """Normalized start iterate; "default" is the product-tent bump, strictly
-    positive and peaked at the box center."""
+def _start_iterate(grid: Grid, p: float, q: float, start: Field | str) -> tuple[Field, float]:
+    """Normalized start iterate and its exact p-energy; "default" is the
+    product-tent bump, strictly positive and peaked at the box center.  An
+    energy that overflows the float range raises OverflowError."""
     if isinstance(start, str):
         if start != "default":
             raise ValueError(f"unknown start {start!r}")
@@ -164,7 +166,13 @@ def _start_iterate(grid: Grid, q: float, start: Field | str) -> Field:
         raise ValueError("start iterate must be finite")
     elif not np.any(start.values):
         raise ValueError("start iterate must be nonzero")
-    return normalize(start, q)
+    u = normalize(start, q)
+    with np.errstate(over="ignore"):
+        energy = p_energy(u, p, 0.0)
+    if not math.isfinite(energy):
+        raise OverflowError(f"the Rayleigh quotient of the start iterate overflows the "
+                            f"float range at p={p:g}")
+    return u, energy
 
 
 # Anderson mixing depth: the number of past differences the extrapolation
@@ -240,21 +248,19 @@ def inverse_iteration(cfg: SolverConfig, w0: Field | str = "default") -> EigenRe
     a solver defect and raises RuntimeError.
     """
     p, q = cfg.p, cfg.q
-    w = _start_iterate(cfg.grid, q, w0)
+    w, R_w = _start_iterate(cfg.grid, p, q, w0)
 
     history: list[IterationRecord] = []
     ws: list[np.ndarray] = []
     gs: list[np.ndarray] = []
     converged = False
     g = warm = None
-    R_w, tol, loose_tol = p_energy(w, p, 0.0), cfg.tol_inner, _LOOSE_CAP
+    tol, loose_tol = cfg.tol_inner, _LOOSE_CAP
     for _ in range(cfg.max_outer):
         stats: dict = {}
-        loose = None  # a loose tolerance at or below tol_inner is no loose solve
-        if loose_tol > tol:
-            loose = (loose_tol, lambda z: _in_hoelder_bracket(z, p, q, R_w, tol))
         try:
-            z = solve_inner(apply_B(w, q), p, tol, x0=warm, stats=stats, loose=loose)
+            z = solve_inner(apply_B(w, q), p, tol, x0=warm, stats=stats,
+                            loose=(loose_tol, lambda z: _in_hoelder_bracket(z, p, q, R_w, tol)))
         except ConvergenceError:
             if not history:
                 raise
@@ -276,12 +282,12 @@ def inverse_iteration(cfg: SolverConfig, w0: Field | str = "default") -> EigenRe
         else:
             ws, gs = ws[-1:], gs[-1:]
         change = lq_norm(g - w, q)
-        history.append(IterationRecord(mu, R_next, change, int(stats.get("iters", 0)),
+        history.append(IterationRecord(mu, R_next, change, stats["iters"],
                                        residual(g, mu, p, q)))
         # warm start the next solve near the expected fixed point z* = mu^{1/(1-p)} w
         warm = w_next * (mu ** (1.0 / (1.0 - p)))
         w, R_w = w_next, R_next
-        if (not stats.get("loose") and len(history) > 1
+        if (not stats["loose"] and len(history) > 1
                 and abs(history[-2].mu - mu) <= cfg.tol_outer * mu and change <= cfg.tol_outer):
             converged = True
             break
@@ -302,7 +308,7 @@ def rayleigh_minimize(cfg: SolverConfig, u0: Field | str = "default") -> EigenRe
     <= tol_outer.
     """
     p, q = cfg.p, cfg.q
-    u = _start_iterate(cfg.grid, q, u0)
+    u, _ = _start_iterate(cfg.grid, p, q, u0)
 
     max_iters = 10 * cfg.max_outer
     patience_needed = 5

@@ -4,9 +4,10 @@ The subproblem behind one inverse-iteration step asks for the unique z with
 
     <A(z), v> = <f, v>   for all v,
 
-i.e. the minimizer of J(z) = (1/p) * p_energy(z, p, eps) - <f, z>.  For
-p = 2 the operator is the linear SPD stiffness G^T G and a Jacobi
-preconditioned conjugate gradient is used.  Otherwise one loop minimizes J
+i.e. the minimizer of J(z) = (1/p) * p_energy(z, p, eps) - <f, z>.
+solve_inner is the one entry point for every p.  At p = 2 the operator is
+the assembled linear SPD stiffness G^T G, and a Jacobi preconditioned
+conjugate gradient runs on it.  Otherwise one loop minimizes J
 at the single eps EPS = 1e-8, which keeps the flux weight
 a = (|grad z|^2 + eps^2)^{(p-2)/2} finite (p < 2) and nonzero (p > 2)
 where the gradient vanishes.  A cold start is the scaled p = 2 solution.
@@ -31,10 +32,10 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .mesh import EnergyState, Field, Grid, p_energy
-from .operators import DualField, pairing
+from .mesh import EnergyState, Field, Grid
+from .operators import DualField
 
-__all__ = ["ConvergenceError", "solve_inner", "solve_linear_cg", "inner_objective"]
+__all__ = ["ConvergenceError", "solve_inner"]
 
 
 class ConvergenceError(RuntimeError):
@@ -49,10 +50,8 @@ class ConvergenceError(RuntimeError):
 # The regularization eps of every p != 2 solve.
 EPS = 1e-8
 
-
-def inner_objective(z: Field, f: DualField, p: float, eps: float) -> float:
-    """J(z) = (1/p) p_energy(z, p, eps) - pairing(f, z)."""
-    return p_energy(z, p, eps) / p - pairing(f, z)
+# The step cap of each decade of a solve: CG iterations at p = 2, steps otherwise.
+MAX_ITERS = 100_000
 
 
 def _pcg(matvec, b: np.ndarray, Minv: np.ndarray, x: np.ndarray, tol: float,
@@ -77,32 +76,6 @@ def _pcg(matvec, b: np.ndarray, Minv: np.ndarray, x: np.ndarray, tol: float,
         d = z + (rz_new / rz) * d
         rz = rz_new
     return x, float(np.linalg.norm(r)), max_iters
-
-
-def solve_linear_cg(f: DualField, tol: float, max_iters: int = 100_000,
-                    x0: Field | None = None, stats: dict | None = None) -> Field:
-    """Jacobi-preconditioned CG for G^T G z = f (the p = 2 inner problem).
-
-    Stops when ||G^T G z - f|| <= tol * ||f||, tol finite and positive;
-    raises ConvergenceError after max_iters iterations.  ``stats`` (when
-    given) receives {"iters": count}.
-    """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-    grid, b = f.grid, f.values
-    tol_abs = tol * float(np.linalg.norm(b))
-    # the solution of f = 0 is 0, which a zero start reaches in no iterations
-    x = np.zeros(grid.n_nodes) if x0 is None or tol_abs == 0.0 else x0.values.copy()
-    x, rnorm, iters = _pcg(lambda v: grid.stiffness_p2 @ v, b, 1.0 / grid.stiffness_diagonal,
-                           x, tol_abs, max_iters)
-    if stats is not None:
-        stats["iters"] = iters
-    if rnorm <= tol_abs:
-        return Field(grid, x)
-    raise ConvergenceError(
-        f"CG did not reach tolerance {tol:g} within {max_iters} iterations",
-        Field(grid, x), rnorm,
-    )
 
 
 def _minimize(grid: Grid, fvals: np.ndarray, z: np.ndarray | None, p: float, tol_abs: float,
@@ -164,58 +137,53 @@ def _minimize(grid: Grid, fvals: np.ndarray, z: np.ndarray | None, p: float, tol
         z, state, energy, fz, grad = z_try, trial, energy_try, fz_try, grad_try
 
 
-def solve_inner(f: DualField, p: float, tol: float, max_iters: int = 100_000,
-                x0: Field | None = None, history: list | None = None,
-                stats: dict | None = None,
+def solve_inner(f: DualField, p: float, tol: float, x0: Field | None = None,
+                history: list | None = None, stats: dict | None = None,
                 loose: tuple[float, Callable[[Field], bool]] | None = None) -> Field:
     """Minimize J(z) = (1/p) p_energy(z, p, EPS) - <f, z> for p > 1 and tol
-    finite and positive.
-
-    p = 2 goes to solve_linear_cg.  Otherwise the steps of the module
-    docstring run from x0, or from the cold start when x0 is None, until
-    ||A_eps(z) - f|| <= tol * ||f||; the cap of max_iters steps (CG
-    iterations at p = 2) or a line-search stall raises ConvergenceError.
-    ``history`` gets J at each iterate; ``stats`` (when given) gets
-    {"iters": CG iterations at p = 2, otherwise the steps, the cold start
-    counting as one}.
+    finite and positive, until ||A_eps(z) - f|| <= tol * ||f||: by CG on
+    G^T G at p = 2, otherwise by the steps of the module docstring, from x0
+    or else from 0 (p = 2) or the cold start.  f = 0 returns 0.  ``history``
+    gets J at each p != 2 iterate.  MAX_ITERS CG iterations or steps in one
+    decade (below), or a line-search stall, raise ConvergenceError.
 
     ``loose = (loose_tol, accept)`` makes the solve tighten one decade at a
     time: it stops first at loose_tol and returns that z if accept(z)
     holds; otherwise it continues from z to loose_tol / 10 and asks again,
     and so on while the tolerance is above tol.  The decade that reaches
-    tol is final and not asked.  ``history`` then gets J at the iterates
-    of every decade, ``stats["iters"]`` counts every decade and
-    ``stats["loose"]`` says whether the result stopped above tol.
+    tol is final and not asked, so a loose_tol at or below tol is the plain
+    solve.  ``stats`` (when given) gets {"iters": CG iterations or steps
+    over every decade, the cold start counting as one, "loose": whether the
+    result stopped above tol}.
     """
-    if loose is not None:
-        stage_tol, accept = loose
-        total = 0
-        while True:
-            # a decade that lands on tol up to rounding is the final one
-            final = stage_tol <= tol * (1.0 + 1e-9)
-            stage: dict = {}
-            z = solve_inner(f, p, tol if final else stage_tol, max_iters, x0, history, stage)
-            total += stage["iters"]
-            if final or accept(z):
-                break
-            x0, stage_tol = z, stage_tol / 10.0
-        if stats is not None:
-            stats.update(iters=total, loose=not final)
-        return z
-    if p == 2.0:
-        return solve_linear_cg(f, tol, max_iters, x0=x0, stats=stats)
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-    grid, fnorm = f.grid, float(np.linalg.norm(f.values))
-    # for f = 0 the zero start is the solution
-    z = np.zeros(grid.n_nodes) if fnorm == 0.0 else None if x0 is None else x0.values.copy()
-    z, gnorm, iters = _minimize(grid, f.values, z, p, tol * fnorm, max_iters, history)
-    if gnorm > tol * fnorm:
-        raise ConvergenceError(
-            f"inner solve missed tolerance {tol:g} ({max_iters} iterations "
-            f"exhausted; relative gradient {gnorm / fnorm:.3e})",
-            Field(grid, z), gnorm,
-        )
+    stage_tol, accept = loose or (tol, None)
+    if not (math.isfinite(tol) and tol > 0 and math.isfinite(stage_tol)):
+        raise ValueError(f"tol must be finite and positive and loose_tol finite, "
+                         f"got {tol} and {stage_tol}")
+    grid, fvals = f.grid, f.values
+    fnorm = float(np.linalg.norm(fvals))
+    # for f = 0 the zero start is the solution; p = 2 also starts cold from 0
+    z = x0.values.copy() if x0 is not None and fnorm > 0.0 else \
+        np.zeros(grid.n_nodes) if fnorm == 0.0 or p == 2.0 else None
+    total = 0
+    while True:
+        final = stage_tol <= tol * (1.0 + 1e-9)  # a decade on tol up to rounding is final
+        stage_tol = tol if final else stage_tol
+        if p == 2.0:
+            z, gnorm, iters = _pcg(lambda v: grid.stiffness_p2 @ v, fvals,
+                                   1.0 / grid.stiffness_diagonal, z, stage_tol * fnorm,
+                                   MAX_ITERS)
+        else:
+            z, gnorm, iters = _minimize(grid, fvals, z, p, stage_tol * fnorm, MAX_ITERS,
+                                        history)
+        total += iters
+        if gnorm > stage_tol * fnorm:
+            raise ConvergenceError(
+                f"inner solve missed tolerance {stage_tol:g} ({MAX_ITERS} iterations "
+                f"exhausted; relative residual {gnorm / fnorm:.3e})", Field(grid, z), gnorm)
+        if final or accept(Field(grid, z.copy())):  # CG goes on updating z in place
+            break
+        stage_tol /= 10.0
     if stats is not None:
-        stats["iters"] = iters
+        stats.update(iters=total, loose=not final)
     return Field(grid, z)

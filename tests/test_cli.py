@@ -115,6 +115,18 @@ def test_large_q_keeps_exit_code_contract(tmp_path, capsys, q):
         assert (out / "trace.csv").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("flags", [[], ["--sweep-p", "50,100"], ["--method", "rayleigh"]])
+def test_quotient_beyond_float_range_is_one_error_line(tmp_path, capsys, flags):
+    # lambda is about h^{-p} with h = 0.01/17: past the float range at p = 100
+    code = main(["--group", "euclidean2", "--box", "0,0.01,0,0.01", "--resolution", "16,16",
+                 "--p", "100", "--q", "2", *flags, "--out", str(tmp_path / "run")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "p=100" in err and "overflow" in err
+
+
 def test_trace_csv_columns(tmp_path):
     out = tmp_path / "run"
     main(["--group", "euclidean2", "--box", "0,1,0,1", "--resolution", "8,8",

@@ -2,40 +2,36 @@ import numpy as np
 import pytest
 
 import subeigen as se
-from subeigen.inner_solver import (
-    ConvergenceError,
-    _minimize,
-    inner_objective,
-    solve_inner,
-    solve_linear_cg,
-)
-from subeigen.operators import DualField
+from subeigen import inner_solver
+from subeigen.inner_solver import ConvergenceError, _minimize, solve_inner
+from subeigen.operators import DualField, pairing
 from subeigen.oracle import multistart_minimize
 from conftest import chain_grid, random_field
 
 
 def test_config_validation(unit_square):
     f = DualField(unit_square, np.ones(unit_square.n_nodes))
-    nan = float("nan")
+    nan, inf = float("nan"), float("inf")
     for p, kwargs in [(1.0, {}), (nan, {}), (3.0, {"tol": 0.0}), (3.0, {"tol": nan}),
-                      (2.0, {"tol": 0.0}), (2.0, {"tol": nan})]:
+                      (2.0, {"tol": 0.0}), (2.0, {"tol": nan}),
+                      (2.0, {"loose": (nan, bool)}), (3.0, {"loose": (inf, bool)})]:
         with pytest.raises(ValueError):
             solve_inner(f, p, **{"tol": 1e-6, **kwargs})
-    with pytest.raises(ValueError):
-        solve_linear_cg(f, 0.0)
 
 
 def test_zero_rhs_returns_zero(unit_square):
     f = DualField(unit_square, np.zeros(unit_square.n_nodes))
-    assert np.all(solve_linear_cg(f, 1e-8).values == 0.0)
-    assert np.all(solve_inner(f, 3.0, 1e-6).values == 0.0)
+    for p in (2.0, 3.0):
+        stats: dict = {}
+        assert np.all(solve_inner(f, p, 1e-6, stats=stats).values == 0.0)
+        assert stats == {"iters": 0, "loose": False}
 
 
 def test_chain_linear_solve():
     # K = tridiag(2,-1) at h = 1; f = (1,0,0) has solution (0.75, 0.5, 0.25)
     grid = chain_grid(3)
     f = DualField(grid, np.array([1.0, 0.0, 0.0]))
-    z = solve_linear_cg(f, 1e-12)
+    z = solve_inner(f, 2.0, 1e-12)
     assert np.allclose(z.values, [0.75, 0.5, 0.25], atol=1e-8)
 
 
@@ -58,8 +54,11 @@ def test_p4_matches_derivative_free_minimizer(rng):
     z = solve_inner(f, 4.0, 1e-8)
     eps = 1e-8  # the eps of every p != 2 solve
 
+    def J(z):
+        return se.p_energy(z, 4.0, eps) / 4.0 - pairing(f, z)
+
     def batch(X):
-        return np.array([inner_objective(se.Field(grid, row), f, 4.0, eps) for row in X])
+        return np.array([J(se.Field(grid, row)) for row in X])
 
     starts = 0.3 * rng.standard_normal((33, 9))
     starts[0] = 0.1
@@ -72,7 +71,7 @@ def test_cg_and_newton_agree_at_p2(rng):
     grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (4, 4))
     f = DualField(grid, rng.standard_normal(grid.n_nodes))
     tol = 1e-8
-    z_cg = solve_linear_cg(f, tol)
+    z_cg = solve_inner(f, 2.0, tol)
     z_newton, _, _ = _minimize(grid, f.values, np.zeros(grid.n_nodes), 2.0,
                                tol * np.linalg.norm(f.values), 100, None)
     assert np.max(np.abs(z_cg.values - z_newton)) < 10 * tol
@@ -103,20 +102,20 @@ def test_p2_weak_identity(rng):
     grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (6, 6))
     f = DualField(grid, rng.standard_normal(grid.n_nodes))
     tol = 1e-10
-    z = solve_linear_cg(f, tol)
+    z = solve_inner(f, 2.0, tol)
     defect = se.apply_A(z, 2.0).values - f.values
     # against every node basis field the pairing defect is below tolerance
     assert np.max(np.abs(defect)) <= tol * np.linalg.norm(f.values)
 
 
-def test_iteration_limit_error_carries_iterate(rng):
+def test_iteration_limit_error_carries_iterate(monkeypatch, rng):
     grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (8, 8))
     f = DualField(grid, rng.standard_normal(grid.n_nodes))
-    # the CG cap, and the Newton step cap of the p != 2 stages
-    for solve in (lambda: solve_linear_cg(f, 1e-12, max_iters=2),
-                  lambda: solve_inner(f, 3.0, 1e-12, max_iters=1)):
-        with pytest.raises(ConvergenceError, match="iterations") as info:
-            solve()
+    # one CG iteration at p = 2; at p = 3 the cold start is the one step
+    monkeypatch.setattr(inner_solver, "MAX_ITERS", 1)
+    for p in (2.0, 3.0):
+        with pytest.raises(ConvergenceError, match="1 iterations exhausted") as info:
+            solve_inner(f, p, 1e-12)
         assert info.value.last_iterate.grid == grid
         assert info.value.grad_norm > 0.0
 
@@ -227,3 +226,18 @@ def test_accepted_loose_phase_returns_early(rng, p):
     assert np.array_equal(z.values, z_loose.values)
     assert stats == {"iters": loose_stats["iters"], "loose": True}
     assert stats["iters"] < full["iters"]
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("loose_tol", [1e-8, 1e-8 * (1.0 + 1e-12), 1e-9, 0.0])
+def test_loose_tol_at_or_below_tol_is_the_plain_solve(rng, p, loose_tol):
+    grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (8, 8))
+    f = DualField(grid, rng.standard_normal(grid.n_nodes))
+    plain: dict = {}
+    expected = solve_inner(f, p, 1e-8, stats=plain)
+    asked = []
+    stats: dict = {}
+    z = solve_inner(f, p, 1e-8, stats=stats, loose=(loose_tol, asked.append))
+    assert asked == []
+    assert z.values.tobytes() == expected.values.tobytes()
+    assert stats == plain and stats["loose"] is False

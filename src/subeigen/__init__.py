@@ -5,11 +5,13 @@ The public surface, bottom up:
 
 * :mod:`subeigen.groups` -- stratified group descriptors, dilations,
   homogeneous dimension, exponent-window checks.
-* :mod:`subeigen.mesh` -- box grids with zero Dirichlet extension, fields,
-  the discrete horizontal gradient, p-energy and L^q norms.
-* :mod:`subeigen.operators` -- the operator pair A (p-sub-Laplacian) and
-  B (L^q source), the volume pairing, eigenpair residual.
-* :mod:`subeigen.inner_solver` -- the convex subproblem A(z) = f.
+* :mod:`subeigen.mesh` -- box grids with zero Dirichlet extension, Field
+  (the one node-value type), the discrete horizontal gradient as an
+  (n1, n_sites) array, the exact p-energy and L^q norms.
+* :mod:`subeigen.operators` -- the exact pair A (p-sub-Laplacian) and B (L^q
+  source), both returning Field, the volume pairing, eigenpair residual.
+* :mod:`subeigen.inner_solver` -- the convex subproblem A(z) = f, the only
+  place the energy is regularized (mesh.EnergyState at a fixed eps).
 * :mod:`subeigen.eigensolver` -- inverse iteration and direct quotient
   minimization for the first eigenpair.
 * :mod:`subeigen.diagnostics` -- boundedness/positivity diagnostics and
@@ -47,7 +49,6 @@ from .inner_solver import ConvergenceError, solve_inner
 from .mesh import (
     Field,
     Grid,
-    HField,
     build_grid,
     dilate_grid,
     dump_field_csv,
@@ -55,7 +56,7 @@ from .mesh import (
     lq_norm,
     p_energy,
 )
-from .operators import DualField, apply_A, apply_B, pairing, residual
+from .operators import apply_A, apply_B, pairing, residual
 from .oracle import OracleResult, brute_force_lambda
 
 __version__ = "0.1.0"
@@ -64,9 +65,9 @@ __all__ = [
     "__version__",
     "GroupDescriptor", "GROUPS", "get_group", "homogeneous_dimension",
     "critical_exponent", "dilate", "check_regime",
-    "Grid", "Field", "HField", "build_grid", "dilate_grid",
+    "Grid", "Field", "build_grid", "dilate_grid",
     "horizontal_gradient", "p_energy", "lq_norm", "dump_field_csv",
-    "DualField", "apply_A", "apply_B", "pairing", "residual",
+    "apply_A", "apply_B", "pairing", "residual",
     "ConvergenceError", "solve_inner",
     "SolverConfig", "EigenResult", "IterationRecord", "inverse_iteration",
     "rayleigh_minimize", "rayleigh_quotient",

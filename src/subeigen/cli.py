@@ -2,8 +2,8 @@
 
 The CLI only parses input, writes artifacts and reports errors: Grid owns
 the group, box and resolution rules, SolverConfig the exponents and solver
-settings.  A JSON file (--config), updated by flags that mirror its fields
-one to one, configures a run, which writes into --out:
+settings.  A JSON object in a file (--config), updated by flags that mirror
+its fields one to one, configures a run, which writes into --out:
 
 * ``summary.json`` -- group/box/resolution/exponents, lambda_hat, residual,
   convergence flag, iteration count, runtime, the regularity report, and
@@ -12,9 +12,9 @@ one to one, configures a run, which writes into --out:
   unorm_p, lq_change, inner_iters, residual, with an empty cell where the
   method has no value (rayleigh's unorm_p and residual before the last row).
 * ``field.csv`` (--dump-field) -- eigenfunction node values with coordinates.
-* ``results.csv`` (sweep mode, which takes no --method both, --oracle or
-  --dump-field) -- one row per (p, q) pair in lexicographic order;
-  out-of-window pairs are skipped with a warning.
+* ``results.csv`` (sweep mode, which takes no --method both, --oracle,
+  --dump-field or empty p or q list) -- one row per (p, q) pair in
+  lexicographic order; out-of-window pairs are skipped with a warning.
 
 Exit codes: 0 converged, 2 ran but not converged (results still written;
 an inner solve that fails after the first outer step ends a run this way),
@@ -81,6 +81,9 @@ class RunConfig:
         for name in ("oracle", "dump_field"):
             if self.sweeping and getattr(self, name):
                 raise ValueError(f"{name} applies to a single run, not a sweep")
+        for name in ("sweep_p", "sweep_q"):
+            if getattr(self, name) == []:  # an empty list would fall back to p or q
+                raise ValueError(f"{name} needs at least one value")
         if any(len(ax) != 2 for ax in self.box):
             raise ValueError(f"every box axis needs a lo,hi pair, got {self.box}")
 
@@ -252,7 +255,11 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     data = {}
     if args.config:
         with open(args.config) as fh:
-            data.update(json.load(fh))
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            kind = {list: "an array", str: "a string", bool: "a boolean",
+                    type(None): "null"}.get(type(data), "a number")
+            raise ValueError(f"--config must hold a JSON object, got {kind}")
     known = {f.name for f in dataclasses.fields(RunConfig)}
     unknown = set(data) - known
     if unknown:

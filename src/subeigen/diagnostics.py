@@ -59,7 +59,7 @@ class RegularityReport:
 
 def embedding_ratio(u: Field, p: float, l: float) -> float:
     """||u||_l / p_energy(u, p)^{1/p}, the raw embedding quotient."""
-    return lq_norm(u, l) / p_energy(u, p, 0.0) ** (1.0 / p)
+    return lq_norm(u, l) / p_energy(u, p) ** (1.0 / p)
 
 
 def _volume_exponent(p: float, l: float, nu: int) -> float:

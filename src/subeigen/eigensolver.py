@@ -132,7 +132,7 @@ def rayleigh_quotient(u: Field, p: float, q: float) -> float:
     """p_energy(u, p) / lq_norm(u, q)^p; scale invariant, undefined at u = 0."""
     if not np.any(u.values):
         raise ValueError("Rayleigh quotient is undefined for the zero field")
-    return p_energy(u, p, 0.0) / lq_norm(u, q) ** p
+    return p_energy(u, p) / lq_norm(u, q) ** p
 
 
 def normalize(u: Field, q: float) -> Field:
@@ -168,7 +168,7 @@ def _start_iterate(grid: Grid, p: float, q: float, start: Field | str) -> tuple[
         raise ValueError("start iterate must be nonzero")
     u = normalize(start, q)
     with np.errstate(over="ignore"):
-        energy = p_energy(u, p, 0.0)
+        energy = p_energy(u, p)
     if not math.isfinite(energy):
         raise OverflowError(f"the Rayleigh quotient of the start iterate overflows the "
                             f"float range at p={p:g}")
@@ -211,7 +211,7 @@ def _in_hoelder_bracket(z: Field, p: float, q: float, R_w: float, slack: float) 
     if not 0.0 < znorm < math.inf:
         return False
     mu = znorm ** (1.0 - p)
-    return p_energy(z, p, 0.0) / znorm ** p * (1.0 - slack) <= mu <= R_w * (1.0 + slack)
+    return p_energy(z, p) / znorm ** p * (1.0 - slack) <= mu <= R_w * (1.0 + slack)
 
 
 def inverse_iteration(cfg: SolverConfig, w0: Field | str = "default") -> EigenResult:
@@ -275,9 +275,9 @@ def inverse_iteration(cfg: SolverConfig, w0: Field | str = "default") -> EigenRe
         g = normalize(z, q)
         ws = ws[-_ANDERSON_DEPTH:] + [w.values]
         gs = gs[-_ANDERSON_DEPTH:] + [g.values]
-        w_next, R_next = g, p_energy(g, p, 0.0)
+        w_next, R_next = g, p_energy(g, p)
         cand = _anderson_candidate(ws, gs, cfg.grid, q) if len(ws) > 1 else None
-        if cand is not None and (R_cand := p_energy(cand, p, 0.0)) <= R_next:
+        if cand is not None and (R_cand := p_energy(cand, p)) <= R_next:
             w_next, R_next = cand, R_cand
         else:
             ws, gs = ws[-1:], gs[-1:]
@@ -352,6 +352,6 @@ def rayleigh_minimize(cfg: SolverConfig, u0: Field | str = "default") -> EigenRe
             converged = True
             break
 
-    history[-1] = replace(history[-1], unorm=p_energy(u, p, 0.0),
+    history[-1] = replace(history[-1], unorm=p_energy(u, p),
                           residual=residual(u, R, p, q))
     return EigenResult(u, history, converged, "rayleigh")

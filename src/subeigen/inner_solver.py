@@ -4,7 +4,7 @@ The subproblem behind one inverse-iteration step asks for the unique z with
 
     <A(z), v> = <f, v>   for all v,
 
-i.e. the minimizer of J(z) = (1/p) * p_energy(z, p, eps) - <f, z>.
+i.e. the minimizer of J(z) = (1/p) E_eps(z) - <f, z>, E_eps mesh.EnergyState's energy.
 solve_inner is the one entry point for every p.  At p = 2 the operator is
 the assembled linear SPD stiffness G^T G, and a Jacobi preconditioned
 conjugate gradient runs on it.  Otherwise one loop minimizes J
@@ -33,7 +33,6 @@ from collections.abc import Callable
 import numpy as np
 
 from .mesh import EnergyState, Field, Grid
-from .operators import DualField
 
 __all__ = ["ConvergenceError", "solve_inner"]
 
@@ -137,10 +136,10 @@ def _minimize(grid: Grid, fvals: np.ndarray, z: np.ndarray | None, p: float, tol
         z, state, energy, fz, grad = z_try, trial, energy_try, fz_try, grad_try
 
 
-def solve_inner(f: DualField, p: float, tol: float, x0: Field | None = None,
+def solve_inner(f: Field, p: float, tol: float, x0: Field | None = None,
                 history: list | None = None, stats: dict | None = None,
                 loose: tuple[float, Callable[[Field], bool]] | None = None) -> Field:
-    """Minimize J(z) = (1/p) p_energy(z, p, EPS) - <f, z> for p > 1 and tol
+    """Minimize J of the module docstring at eps = EPS for p > 1 and tol
     finite and positive, until ||A_eps(z) - f|| <= tol * ||f||: by CG on
     G^T G at p = 2, otherwise by the steps of the module docstring, from x0
     or else from 0 (p = 2) or the cold start.  f = 0 returns 0.  ``history``

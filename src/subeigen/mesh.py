@@ -14,8 +14,10 @@ The gradient matrix is assembled in one pass from the node lattice into
 canonical CSR (sorted column indices, no duplicates, no stored zeros), so
 its in-row order, and with it the rounding of every product, is fixed here.
 
-On a single 1D-like line of n interior nodes this reproduces the classical
-tridiagonal (2, -1)/h^2 stiffness.
+Field is the one node-value type, and horizontal_gradient(u) is G u as an
+(n1, n_sites) array.  p_energy is exact; its kernel EnergyState also takes
+the inner solver's eps > 0.  On a single 1D-like line of n interior nodes
+this reproduces the classical tridiagonal (2, -1)/h^2 stiffness.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .groups import GroupDescriptor, dilate, get_group
 __all__ = [
     "Grid",
     "Field",
-    "HField",
     "build_grid",
     "dilate_grid",
     "horizontal_gradient",
@@ -190,9 +191,9 @@ def dilate_grid(grid: Grid, s: float) -> Grid:
 
 
 @dataclass(frozen=True)
-class NodeVector:
-    """One real value per interior node, with grid-checked arithmetic that
-    keeps the type: the common base of Field and operators.DualField."""
+class Field:
+    """One real value per interior node, implicitly zero on the boundary, with
+    grid-checked arithmetic: the one node-value type, operator values too."""
 
     grid: Grid
     values: np.ndarray
@@ -200,33 +201,28 @@ class NodeVector:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float).ravel()
         if vals.shape[0] != self.grid.n_nodes:
-            raise ValueError(f"{type(self).__name__} has {vals.shape[0]} values, "
+            raise ValueError(f"Field has {vals.shape[0]} values, "
                              f"grid has {self.grid.n_nodes} nodes")
         object.__setattr__(self, "values", vals)
 
     def __add__(self, other):
         self._check(other)
-        return type(self)(self.grid, self.values + other.values)
+        return Field(self.grid, self.values + other.values)
 
     def __sub__(self, other):
-        self._check(other)
-        return type(self)(self.grid, self.values - other.values)
+        return self + -other
 
     def __mul__(self, t: float):
-        return type(self)(self.grid, self.values * float(t))
+        return Field(self.grid, self.values * float(t))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return type(self)(self.grid, -self.values)
+        return Field(self.grid, -self.values)
 
     def _check(self, other):
         if self.grid != other.grid:
-            raise ValueError(f"{type(self).__name__} values live on different grids")
-
-
-class Field(NodeVector):
-    """One real value per interior node; implicitly zero on the boundary."""
+            raise ValueError("Field values live on different grids")
 
     @classmethod
     def zeros(cls, grid: Grid) -> "Field":
@@ -243,37 +239,10 @@ class Field(NodeVector):
         return cls(grid, fn(*(coords[:, j] for j in range(coords.shape[1]))))
 
 
-@dataclass(frozen=True)
-class HField:
-    """Horizontal gradient samples: shape (n_sites, n1) over the site lattice."""
-
-    grid: Grid
-    components: np.ndarray
-
-    def __post_init__(self):
-        comp = np.asarray(self.components, dtype=float)
-        n1 = self.grid.group.horizontal_dim
-        if comp.shape != (self.grid.n_sites, n1):
-            raise ValueError(
-                f"expected components of shape {(self.grid.n_sites, n1)}, got {comp.shape}"
-            )
-        object.__setattr__(self, "components", comp)
-
-    @property
-    def site_coordinates(self) -> np.ndarray:
-        return self.grid.site_coordinates
-
-    def norms(self) -> np.ndarray:
-        """Pointwise Euclidean length |grad u| per site."""
-        return np.sqrt(np.sum(self.components ** 2, axis=1))
-
-
-def horizontal_gradient(u: Field) -> HField:
-    """Discrete horizontal gradient of a field, one n1-vector per site."""
+def horizontal_gradient(u: Field) -> np.ndarray:
+    """G u as an (n1, n_sites) array, row c component c: EnergyState.g's layout."""
     grid = u.grid
-    n1 = grid.group.horizontal_dim
-    flat = grid.gradient_matrix @ u.values
-    return HField(grid, flat.reshape(n1, grid.n_sites).T)
+    return (grid.gradient_matrix @ u.values).reshape(grid.group.horizontal_dim, grid.n_sites)
 
 
 class EnergyState:
@@ -340,12 +309,10 @@ class EnergyState:
         return self.grid.gradient_products.T @ blocks.ravel()
 
 
-def p_energy(u: Field, p: float, eps: float = 0.0) -> float:
-    """Regularized horizontal Dirichlet energy sum (|grad u|^2 + eps^2)^{p/2} dV.
-
-    eps = 0 gives the exact discrete energy of the integrand |grad u|^p.
-    """
-    return EnergyState(u.grid, u.values, p, eps).energy() * u.grid.cell_volume
+def p_energy(u: Field, p: float) -> float:
+    """Exact discrete horizontal Dirichlet energy sum |grad u|^p dV; the
+    regularized energy of the inner solver is EnergyState's at eps > 0."""
+    return EnergyState(u.grid, u.values, p, 0.0).energy() * u.grid.cell_volume
 
 
 def lq_norm(u: Field, q: float) -> float:

@@ -329,6 +329,40 @@ def test_config_value_of_wrong_type_is_an_error(tmp_path, capsys, config):
     assert not (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize("text, kind", [("[1, 2]", "array"), ("5", "number"), ("null", "null"),
+                                        ('"abc"', "string"), ('[["p", 3]]', "array")])
+def test_config_must_hold_a_json_object(tmp_path, capsys, text, kind):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    out = tmp_path / "run"
+    assert main(["--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "--config" in err and kind in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, config, name", [
+    (["--sweep-p", ""], None, "sweep_p"),
+    (["--sweep-q", ","], None, "sweep_q"),
+    ([], {"sweep_p": []}, "sweep_p"),
+    (["--sweep-p", "2,3"], {"sweep_q": []}, "sweep_q"),
+], ids=["flag-sweep-p", "flag-sweep-q", "config-sweep_p", "config-sweep_q"])
+def test_empty_sweep_list_is_an_error(tmp_path, capsys, flags, config, name):
+    # an empty list must not fall back to --p / --q and run a one-row sweep
+    if config is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        flags = ["--config", str(cfg_path), *flags]
+    out = tmp_path / "sweep"
+    code = main(["--group", "euclidean2", "--box", "0,1,0,1", "--resolution", "4,4",
+                 *flags, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1 and name in err
+    assert not out.exists()
+
+
 def test_nonconverged_exit_code(tmp_path):
     out = tmp_path / "run"
     code = main(["--group", "euclidean2", "--box", "0,1,0,1", "--resolution", "12,12",

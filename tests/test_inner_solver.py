@@ -4,13 +4,14 @@ import pytest
 import subeigen as se
 from subeigen import inner_solver
 from subeigen.inner_solver import ConvergenceError, _minimize, solve_inner
-from subeigen.operators import DualField, pairing
+from subeigen.mesh import EnergyState
+from subeigen.operators import pairing
 from subeigen.oracle import multistart_minimize
 from conftest import chain_grid, random_field
 
 
 def test_config_validation(unit_square):
-    f = DualField(unit_square, np.ones(unit_square.n_nodes))
+    f = se.Field(unit_square, np.ones(unit_square.n_nodes))
     nan, inf = float("nan"), float("inf")
     for p, kwargs in [(1.0, {}), (nan, {}), (3.0, {"tol": 0.0}), (3.0, {"tol": nan}),
                       (2.0, {"tol": 0.0}), (2.0, {"tol": nan}),
@@ -20,7 +21,7 @@ def test_config_validation(unit_square):
 
 
 def test_zero_rhs_returns_zero(unit_square):
-    f = DualField(unit_square, np.zeros(unit_square.n_nodes))
+    f = se.Field(unit_square, np.zeros(unit_square.n_nodes))
     for p in (2.0, 3.0):
         stats: dict = {}
         assert np.all(solve_inner(f, p, 1e-6, stats=stats).values == 0.0)
@@ -30,7 +31,7 @@ def test_zero_rhs_returns_zero(unit_square):
 def test_chain_linear_solve():
     # K = tridiag(2,-1) at h = 1; f = (1,0,0) has solution (0.75, 0.5, 0.25)
     grid = chain_grid(3)
-    f = DualField(grid, np.array([1.0, 0.0, 0.0]))
+    f = se.Field(grid, np.array([1.0, 0.0, 0.0]))
     z = solve_inner(f, 2.0, 1e-12)
     assert np.allclose(z.values, [0.75, 0.5, 0.25], atol=1e-8)
 
@@ -41,7 +42,7 @@ def test_poisson_sine_solution():
     for n in (16, 32):
         g = se.build_grid("euclidean2", [(0, np.pi), (0, np.pi)], (n, n))
         rhs = se.Field.from_function(g, lambda x, y: 2 * np.sin(x) * np.sin(y))
-        z = solve_inner(DualField(g, rhs.values), 2.0, 1e-10)
+        z = solve_inner(se.Field(g, rhs.values), 2.0, 1e-10)
         exact = se.Field.from_function(g, lambda x, y: np.sin(x) * np.sin(y))
         errors.append(float(np.max(np.abs(z.values - exact.values))))
     assert errors[0] < 0.02
@@ -50,12 +51,12 @@ def test_poisson_sine_solution():
 
 def test_p4_matches_derivative_free_minimizer(rng):
     grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (3, 3))
-    f = DualField(grid, rng.standard_normal(9))
+    f = se.Field(grid, rng.standard_normal(9))
     z = solve_inner(f, 4.0, 1e-8)
-    eps = 1e-8  # the eps of every p != 2 solve
 
-    def J(z):
-        return se.p_energy(z, 4.0, eps) / 4.0 - pairing(f, z)
+    def J(z):  # the energy at the eps of every p != 2 solve
+        return (EnergyState(grid, z.values, 4.0, inner_solver.EPS).energy()
+                * grid.cell_volume / 4.0 - pairing(f, z))
 
     def batch(X):
         return np.array([J(se.Field(grid, row)) for row in X])
@@ -69,7 +70,7 @@ def test_p4_matches_derivative_free_minimizer(rng):
 
 def test_cg_and_newton_agree_at_p2(rng):
     grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (4, 4))
-    f = DualField(grid, rng.standard_normal(grid.n_nodes))
+    f = se.Field(grid, rng.standard_normal(grid.n_nodes))
     tol = 1e-8
     z_cg = solve_inner(f, 2.0, tol)
     z_newton, _, _ = _minimize(grid, f.values, np.zeros(grid.n_nodes), 2.0,
@@ -79,7 +80,7 @@ def test_cg_and_newton_agree_at_p2(rng):
 
 def test_energy_descent_history(rng):
     grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (5, 5))
-    f = DualField(grid, rng.standard_normal(grid.n_nodes))
+    f = se.Field(grid, rng.standard_normal(grid.n_nodes))
     hist: list = []
     solve_inner(f, 3.0, 1e-6, history=hist)
     hist = np.array(hist)
@@ -90,17 +91,17 @@ def test_energy_descent_history(rng):
 def test_homogeneity_transfer(rng):
     # A(z) = f and A(z') = t f imply z' = t^{1/(p-1)} z
     grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (3, 3))
-    f = DualField(grid, rng.standard_normal(9))
+    f = se.Field(grid, rng.standard_normal(9))
     for p in (1.5, 3.0):
         z1 = solve_inner(f, p, 1e-9)
-        z5 = solve_inner(DualField(grid, 5.0 * f.values), p, 1e-9)
+        z5 = solve_inner(se.Field(grid, 5.0 * f.values), p, 1e-9)
         scale = 5.0 ** (1.0 / (p - 1.0))
         assert np.allclose(z5.values, scale * z1.values, rtol=1e-6, atol=1e-9)
 
 
 def test_p2_weak_identity(rng):
     grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (6, 6))
-    f = DualField(grid, rng.standard_normal(grid.n_nodes))
+    f = se.Field(grid, rng.standard_normal(grid.n_nodes))
     tol = 1e-10
     z = solve_inner(f, 2.0, tol)
     defect = se.apply_A(z, 2.0).values - f.values
@@ -110,7 +111,7 @@ def test_p2_weak_identity(rng):
 
 def test_iteration_limit_error_carries_iterate(monkeypatch, rng):
     grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (8, 8))
-    f = DualField(grid, rng.standard_normal(grid.n_nodes))
+    f = se.Field(grid, rng.standard_normal(grid.n_nodes))
     # one CG iteration at p = 2; at p = 3 the cold start is the one step
     monkeypatch.setattr(inner_solver, "MAX_ITERS", 1)
     for p in (2.0, 3.0):
@@ -122,7 +123,7 @@ def test_iteration_limit_error_carries_iterate(monkeypatch, rng):
 
 def test_unreachable_tolerance_stalls_out(rng):
     grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (3, 3))
-    f = DualField(grid, rng.standard_normal(9))
+    f = se.Field(grid, rng.standard_normal(9))
     with pytest.raises(ConvergenceError):
         solve_inner(f, 4.0, 1e-20)
 
@@ -130,7 +131,6 @@ def test_unreachable_tolerance_stalls_out(rng):
 def spy_steps(monkeypatch) -> list:
     """Record the ``frozen`` flag of every EnergyState.hessian_diagonal call:
     one per step, True for the cold start and Kacanov steps, False for Newton."""
-    from subeigen.mesh import EnergyState
     real, calls = EnergyState.hessian_diagonal, []
 
     def diagonal(self, frozen=False):
@@ -144,7 +144,7 @@ def spy_steps(monkeypatch) -> list:
 @pytest.mark.parametrize("p", [1.5, 3.0])
 def test_warm_start_at_solution_takes_no_steps(rng, p):
     grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (6, 6))
-    f = DualField(grid, rng.standard_normal(grid.n_nodes))
+    f = se.Field(grid, rng.standard_normal(grid.n_nodes))
     z = solve_inner(f, p, 1e-6)
     stats: dict = {}
     again = solve_inner(f, p, 1e-6, x0=z, stats=stats)
@@ -157,7 +157,7 @@ def test_rough_warm_start_below_p2(monkeypatch, p):
     # a start far from the solution's gradient scale, where backtracking on
     # the s^{(p-2)/2}-weighted Newton step takes tiny steps
     grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (6, 6))
-    f = DualField(grid, np.ones(grid.n_nodes))
+    f = se.Field(grid, np.ones(grid.n_nodes))
     x0 = se.Field(grid, np.random.default_rng(0).standard_normal(grid.n_nodes))
     cold = solve_inner(f, p, 1e-10)
     calls = spy_steps(monkeypatch)
@@ -174,8 +174,8 @@ def test_rough_warm_start_below_p2(monkeypatch, p):
 def test_warm_start_above_p2_runs_newton_steps_only(monkeypatch):
     # the warm start of an outer step: the solution for a nearby right-hand side
     grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (6, 6))
-    f = DualField(grid, np.ones(grid.n_nodes))
-    x0 = solve_inner(DualField(grid, 1.1 * f.values), 3.0, 1e-6)
+    f = se.Field(grid, np.ones(grid.n_nodes))
+    x0 = solve_inner(se.Field(grid, 1.1 * f.values), 3.0, 1e-6)
     cold = solve_inner(f, 3.0, 1e-8)
     calls = spy_steps(monkeypatch)
     stats: dict = {}
@@ -187,18 +187,20 @@ def test_warm_start_above_p2_runs_newton_steps_only(monkeypatch):
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_rejected_loose_solve_tightens_one_decade_at_a_time(rng, p):
     grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (8, 8))
-    f = DualField(grid, rng.standard_normal(grid.n_nodes))
+    f = se.Field(grid, rng.standard_normal(grid.n_nodes))
     fnorm = np.linalg.norm(f.values)
     seen = []
     stats: dict = {}
     z = solve_inner(f, p, 1e-8, stats=stats, loose=(1e-2, lambda z: seen.append(z) or False))
     # asked once at each of 1e-2, 1e-3, ..., 1e-7, never at tol itself
     assert len(seen) == 6 and stats["loose"] is False
+    def defect(z):  # ||A_eps(z) - f||, the equation the solve meets to each decade
+        state = EnergyState(grid, z.values, p, inner_solver.EPS)
+        return np.linalg.norm(state.flux_divergence() - f.values)
+
     for k, checked in enumerate(seen):
-        defect = se.apply_A(checked, p, 1e-8).values - f.values
-        assert np.linalg.norm(defect) <= 1.001 * 10.0 ** (-2 - k) * fnorm
-    defect = se.apply_A(z, p, 1e-8).values - f.values
-    assert np.linalg.norm(defect) <= 1e-8 * fnorm
+        assert defect(checked) <= 1.001 * 10.0 ** (-2 - k) * fnorm
+    assert defect(z) <= 1e-8 * fnorm
 
     first: dict = {}
     second: dict = {}
@@ -216,7 +218,7 @@ def test_rejected_loose_solve_tightens_one_decade_at_a_time(rng, p):
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_accepted_loose_phase_returns_early(rng, p):
     grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (8, 8))
-    f = DualField(grid, rng.standard_normal(grid.n_nodes))
+    f = se.Field(grid, rng.standard_normal(grid.n_nodes))
     loose_stats: dict = {}
     z_loose = solve_inner(f, p, 1e-2, stats=loose_stats)
     full: dict = {}
@@ -232,7 +234,7 @@ def test_accepted_loose_phase_returns_early(rng, p):
 @pytest.mark.parametrize("loose_tol", [1e-8, 1e-8 * (1.0 + 1e-12), 1e-9, 0.0])
 def test_loose_tol_at_or_below_tol_is_the_plain_solve(rng, p, loose_tol):
     grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (8, 8))
-    f = DualField(grid, rng.standard_normal(grid.n_nodes))
+    f = se.Field(grid, rng.standard_normal(grid.n_nodes))
     plain: dict = {}
     expected = solve_inner(f, p, 1e-8, stats=plain)
     asked = []

@@ -64,13 +64,23 @@ def test_gradient_of_linear_function_euclidean():
     # away from the boundary the forward difference of f = x is exactly 1
     idx = np.indices(g.site_shape).reshape(2, -1)
     interior = np.all((idx >= 1) & (idx <= np.array(g.resolution)[:, None] - 1), axis=0)
-    assert np.allclose(H.components[interior, 0], 1.0, atol=1e-12)
-    assert np.allclose(H.components[interior, 1], 0.0, atol=1e-12)
+    assert np.allclose(H[0, interior], 1.0, atol=1e-12)
+    assert np.allclose(H[1, interior], 0.0, atol=1e-12)
 
 
 def test_gradient_zero_field(unit_cube_heis):
     H = se.horizontal_gradient(se.Field.zeros(unit_cube_heis))
-    assert np.all(H.components == 0.0)
+    assert H.shape == (2, unit_cube_heis.n_sites) and np.all(H == 0.0)
+
+
+def test_horizontal_gradient_is_the_energy_kernel_gradient(unit_square, unit_cube_heis, rng):
+    # one layout for the public gradient and the p-energy kernel, bit for bit
+    for grid in (unit_square, unit_cube_heis):
+        u = random_field(grid, rng)
+        H = se.horizontal_gradient(u)
+        assert isinstance(H, np.ndarray) and H.shape == (2, grid.n_sites)
+        for p in (1.5, 2.0, 3.0):
+            assert H.tobytes() == EnergyState(grid, u.values, p, 0.0).g.tobytes()
 
 
 def test_heisenberg_gradient_of_t_matches_field_model():
@@ -82,8 +92,8 @@ def test_heisenberg_gradient_of_t_matches_field_model():
     idx = np.indices(g.site_shape).reshape(3, -1)
     interior = np.all((idx >= 1) & (idx <= np.array(g.resolution)[:, None] - 1), axis=0)
     sc = g.site_coordinates
-    assert np.allclose(H.components[interior, 0], -0.5 * sc[interior, 1], atol=1e-12)
-    assert np.allclose(H.components[interior, 1], 0.5 * sc[interior, 0], atol=1e-12)
+    assert np.allclose(H[0, interior], -0.5 * sc[interior, 1], atol=1e-12)
+    assert np.allclose(H[1, interior], 0.5 * sc[interior, 0], atol=1e-12)
 
 
 def test_gradient_refinement_first_order_heisenberg():
@@ -105,8 +115,8 @@ def test_gradient_refinement_first_order_heisenberg():
         exact1 = cy + 0.5 * x * ct
         idx = np.indices(g.site_shape).reshape(3, -1)
         mask = np.all((idx >= 1) & (idx <= np.array(g.resolution)[:, None] - 1), axis=0)
-        err = max(np.max(np.abs(H.components[mask, 0] - exact0[mask])),
-                  np.max(np.abs(H.components[mask, 1] - exact1[mask])))
+        err = max(np.max(np.abs(H[0, mask] - exact0[mask])),
+                  np.max(np.abs(H[1, mask] - exact1[mask])))
         errors.append(err)
     rate1 = errors[0] / errors[1]
     rate2 = errors[1] / errors[2]
@@ -163,11 +173,13 @@ def test_p_energy_sine_anchor():
 
 
 def test_p_energy_eps_monotone(unit_square, rng):
+    # the inner solver's regularized energy decreases to the exact p_energy as eps -> 0
     u = random_field(unit_square, rng)
     for p in (1.5, 3.0):
-        values = [se.p_energy(u, p, eps) for eps in (1e-1, 1e-2, 1e-4, 0.0)]
+        values = [EnergyState(unit_square, u.values, p, eps).energy() * unit_square.cell_volume
+                  for eps in (1e-1, 1e-2, 1e-4, 0.0)]
         assert all(a >= b for a, b in zip(values, values[1:]))
-        assert values[-1] == pytest.approx(se.p_energy(u, p, 0.0))
+        assert values[-1] == se.p_energy(u, p)
         assert values[-2] == pytest.approx(values[-1], rel=1e-6)
 
 
@@ -211,8 +223,8 @@ def test_summation_by_parts_exact(unit_cube_heis, unit_square, rng):
     for grid in (unit_square, unit_cube_heis):
         u, v = random_field(grid, rng), random_field(grid, rng)
         lhs = se.pairing(se.apply_A(u, 2.0), v)
-        gu = se.horizontal_gradient(u).components
-        gv = se.horizontal_gradient(v).components
+        gu = se.horizontal_gradient(u)
+        gv = se.horizontal_gradient(v)
         rhs = float(np.sum(gu * gv) * grid.cell_volume)
         assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-15)
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subeigen as se
+from subeigen.mesh import EnergyState
 from subeigen.operators import eigen_defect
 from conftest import chain_grid, random_field
 
@@ -184,22 +185,25 @@ def test_eigen_defect_matches_definition(unit_square, rng):
 
 
 def test_apply_A_is_energy_gradient(rng):
-    # both outputs of the p-energy kernel: A(u) is the gradient of p_energy/p per unit volume
+    # both outputs of the p-energy kernel: the flux is the gradient of energy/p,
+    # for the inner solver's regularized kernel and for the exact p_energy / apply_A
     grids = (se.build_grid("euclidean2", [(0, 1), (0, 1)], (4, 4)),
              se.build_grid("heisenberg1", [(0, 1), (0, 1), (0, 1)], (3, 3, 3)))
     eps, h = 1e-3, 1e-6
     for grid in grids:
         u = random_field(grid, rng)
         for p in (1.5, 3.0):
-            fd = np.empty(grid.n_nodes)
-            for i in range(grid.n_nodes):
-                e = np.zeros(grid.n_nodes)
-                e[i] = h
-                plus = se.p_energy(se.Field(grid, u.values + e), p, eps)
-                minus = se.p_energy(se.Field(grid, u.values - e), p, eps)
-                fd[i] = (plus - minus) / (2 * h * p * grid.cell_volume)
-            Au = se.apply_A(u, p, eps).values
-            assert np.max(np.abs(Au - fd)) <= 1e-6 * np.max(np.abs(Au))
+            pairs = ((lambda v: EnergyState(grid, v, p, eps).energy() * grid.cell_volume,
+                      EnergyState(grid, u.values, p, eps).flux_divergence()),
+                     (lambda v: se.p_energy(se.Field(grid, v), p), se.apply_A(u, p).values))
+            for energy, Au in pairs:
+                fd = np.empty(grid.n_nodes)
+                for i in range(grid.n_nodes):
+                    e = np.zeros(grid.n_nodes)
+                    e[i] = h
+                    fd[i] = (energy(u.values + e) - energy(u.values - e)) / (
+                        2 * h * p * grid.cell_volume)
+                assert np.max(np.abs(Au - fd)) <= 1e-6 * np.max(np.abs(Au))
 
 
 def test_apply_A_zero_gradient_weight():
@@ -209,18 +213,20 @@ def test_apply_A_zero_gradient_weight():
         u = se.Field.ones(grid)
         exact = se.apply_A(u, 1.5).values
         assert np.all(np.isfinite(exact))
-        near = se.apply_A(u, 1.5, 1e-12).values
+        near = EnergyState(grid, u.values, 1.5, 1e-12).flux_divergence()
         assert np.max(np.abs(exact - near)) <= 1e-9 * np.max(np.abs(near))
 
 
 NAN = float("nan")
 
 
+# the eps cases: the regularized energy and operator are EnergyState's
+# energy() and flux_divergence(), the only code in the package that takes eps
 @pytest.mark.parametrize("call", [
     lambda u: se.p_energy(u, NAN),
-    lambda u: se.p_energy(u, 2.0, NAN),
+    lambda u: EnergyState(u.grid, u.values, 2.0, NAN).energy(),
     lambda u: se.apply_A(u, NAN),
-    lambda u: se.apply_A(u, 3.0, NAN),
+    lambda u: EnergyState(u.grid, u.values, 3.0, NAN).flux_divergence(),
     lambda u: se.apply_B(u, NAN),
     lambda u: se.lq_norm(u, NAN),
     lambda u: se.solve_inner(se.apply_B(u, 2.0), NAN, 1e-6),

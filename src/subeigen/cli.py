@@ -17,7 +17,9 @@ its fields one to one, configures a run, which writes into --out:
   lexicographic order; out-of-window pairs are skipped with a warning.
 
 Exit codes: 0 converged, 2 ran but not converged (results still written;
-an inner solve that fails after the first outer step ends a run this way),
+an inner solve that fails after the first outer step, or an inverse
+iteration whose quotient gap |R(g) - mu| stays above tol_outer mu at the
+stop, ends a run this way),
 1 command-line, configuration or validation error (including out-of-range
 solver settings and exponents outside check_regime's window), an inner
 solve that fails on the first outer step, or a start iterate whose Rayleigh

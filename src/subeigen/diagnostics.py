@@ -130,16 +130,13 @@ def positivity_check(u: Field) -> tuple[bool, float]:
     return positive, c
 
 
-def _level_grid(u: Field, k_start: float, ratio: float = 1.25,
-                max_levels: int = 200) -> list[float]:
-    """Geometric level sequence from k_start until the superlevel set empties."""
-    levels = []
-    k = k_start
-    for _ in range(max_levels):
-        levels.append(k)
-        if level_set_measure(u, k) == 0.0:
-            break
-        k *= ratio
+def _level_grid(u: Field, k_start: float) -> list[tuple[float, float]]:
+    """(k, level_set_measure(u, k)) at k = k_start * 1.25^j, j = 0, 1, ...,
+    up to the first empty superlevel set or 200 levels."""
+    levels = [(k_start, level_set_measure(u, k_start))]
+    while levels[-1][1] > 0.0 and len(levels) < 200:
+        k = levels[-1][0] * 1.25
+        levels.append((k, level_set_measure(u, k)))
     return levels
 
 
@@ -165,10 +162,8 @@ def decay_inequality_checks(u: Field, lam: float, S: float, p: float, q: float,
         const = (lam * S * 2.0 ** q) ** (1.0 / (q - 1.0))
         expo = 1.0 + info.alpha / (q - 1.0)
     out = []
-    for k in _level_grid(u, info.k):
-        mask = u.values > k
-        lhs = float(np.sum(u.values[mask] - k) * vol)
-        measure = float(np.count_nonzero(mask) * vol)
+    for k, measure in _level_grid(u, info.k):
+        lhs = float(np.sum(u.values[u.values > k] - k) * vol)
         rhs = const * k * measure ** expo
         out.append({"k": k, "measure": measure, "lhs": lhs, "rhs": rhs,
                     "ok": bool(lhs <= rhs * (1.0 + 1e-12))})
@@ -192,14 +187,13 @@ def regularity_report(u: Field, lam: float, p: float, q: float) -> RegularityRep
     else:
         S = sobolev_constant_from_lambda(lam, grid, p, q)
     info = linf_threshold(lam, S, lq_norm(u, 1.0), p, q, nu)
-    levels = [(k, level_set_measure(u, k)) for k in _level_grid(u, info.k)]
     positive, c = positivity_check(u)
     return RegularityReport(
         sup_norm=float(np.max(np.abs(u.values))),
         k_threshold=info.k,
         case_tag=info.case_tag,
         alpha=info.alpha,
-        level_measures=levels,
+        level_measures=_level_grid(u, info.k),
         min_on_core=c,
         positive=positive,
     )

@@ -240,12 +240,13 @@ def inverse_iteration(cfg: SolverConfig, w0: Field | str = "default") -> EigenRe
 
     Stops once both the relative mu-change and the fixed-point residual drop
     below tol_outer on a step solved to tol_inner, or at max_outer with
-    converged = False.  The returned eigenfunction, residual and
-    lambda_hat = mu_n belong to g_n of the last completed step.  An inner
-    solve that raises ConvergenceError also stops the iteration with
-    converged = False, returning the last completed step; if the very first
-    inner solve fails, the error propagates.  A zero inner solution signals
-    a solver defect and raises RuntimeError.
+    converged = False; the first stop is converged only if the quotient gap
+    |R(g_n) - mu_n| is at most tol_outer mu_n too.  The returned
+    eigenfunction, residual and lambda_hat = mu_n belong to g_n of the last
+    completed step.  An inner solve that raises ConvergenceError also stops
+    the iteration with converged = False, returning the last completed step;
+    if the very first inner solve fails, the error propagates.  A zero inner
+    solution signals a solver defect and raises RuntimeError.
     """
     p, q = cfg.p, cfg.q
     w, R_w = _start_iterate(cfg.grid, p, q, w0)
@@ -275,7 +276,8 @@ def inverse_iteration(cfg: SolverConfig, w0: Field | str = "default") -> EigenRe
         g = normalize(z, q)
         ws = ws[-_ANDERSON_DEPTH:] + [w.values]
         gs = gs[-_ANDERSON_DEPTH:] + [g.values]
-        w_next, R_next = g, p_energy(g, p)
+        w_next = g
+        R_next = R_g = p_energy(g, p)
         cand = _anderson_candidate(ws, gs, cfg.grid, q) if len(ws) > 1 else None
         if cand is not None and (R_cand := p_energy(cand, p)) <= R_next:
             w_next, R_next = cand, R_cand
@@ -289,7 +291,7 @@ def inverse_iteration(cfg: SolverConfig, w0: Field | str = "default") -> EigenRe
         w, R_w = w_next, R_next
         if (not stats["loose"] and len(history) > 1
                 and abs(history[-2].mu - mu) <= cfg.tol_outer * mu and change <= cfg.tol_outer):
-            converged = True
+            converged = abs(R_g - mu) <= cfg.tol_outer * mu
             break
         loose_tol = tol if change <= cfg.tol_outer else min(_LOOSE_CAP, _LOOSE_FACTOR * change)
 

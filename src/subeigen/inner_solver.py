@@ -11,15 +11,16 @@ conjugate gradient runs on it.  Otherwise one loop minimizes J
 at the single eps EPS = 1e-8, which keeps the flux weight
 a = (|grad z|^2 + eps^2)^{(p-2)/2} finite (p < 2) and nonzero (p > 2)
 where the gradient vanishes.  A cold start is the scaled p = 2 solution.
-For p < 2, Kacanov (lagged-diffusivity) steps solve the weighted Laplacian
-G^T diag(a(z)) G z' = f with the weight frozen at z: as s -> s^{p/2} is
-concave, that quadratic majorizes J, so each step lowers J with no line
-search (Kacanov 1959; Diening, Fornasier, Tomasi & Wank 2020).  Once
-||grad J|| <= 1e-2 ||f||, and from the start for p > 2, each step is
-Newton: it solves G^T D G d = -grad J by the same conjugate gradient loop,
-preconditioned by the exact Hessian diagonal, to the relative forcing
-tolerance min(0.5, sqrt(||grad J|| / ||f||)) (Eisenstat & Walker), then
-backtracks on J from the full step (Armijo).
+Every step solves H d = -grad J from zero by the same Jacobi preconditioned
+conjugate gradient loop and backtracks on J from the full step (Armijo).
+For p < 2, H is first G^T diag(a(z)) G, the flux weight frozen at z: this
+is a Kacanov (lagged-diffusivity) step, the Newton step of the frozen
+weight, and as s -> s^{p/2} is concave its quadratic majorizes J, so the
+full step passes the Armijo test (Kacanov 1959; Diening, Fornasier, Tomasi
+& Wank 2020).  Once ||grad J|| <= 1e-2 ||f||, and from the start for p > 2,
+H is the exact Hessian G^T D G: a Newton step.  The relative forcing
+tolerance is 0.5 for a Kacanov step and min(0.5, sqrt(||grad J|| / ||f||))
+for a Newton step (Eisenstat & Walker).
 
 All tolerances are relative to the data: the reported solution satisfies
 ||A_eps(z) - f|| <= tol * ||f|| on the node-value arrays.
@@ -82,12 +83,13 @@ def _minimize(grid: Grid, fvals: np.ndarray, z: np.ndarray | None, p: float, tol
     """Minimize J at EPS by the steps of the module docstring; returns (z,
     grad_norm, steps) once grad_norm <= tol_abs or after max_iters steps.
 
-    z = None starts cold, which is one step.  A Newton step whose predicted
-    decrease -grad.d is below J's rounding noise is taken whole if it lowers
-    ||grad J||; if it does not, or backtracking shrinks the predicted
-    decrease to that noise, ConvergenceError ("line search stalled") is
-    raised.  J at each iterate (volume factor excluded) goes to ``history``
-    when given.
+    z = None starts cold, which is one step.  Every later step, Kacanov or
+    Newton, is one PCG solve and one Armijo backtracking.  A step whose
+    predicted decrease -grad.d is below J's rounding noise is taken whole if
+    it lowers ||grad J||; if it does not, or backtracking shrinks the
+    predicted decrease to that noise, ConvergenceError ("line search
+    stalled") is raised.  J at each iterate (volume factor excluded) goes to
+    ``history`` when given.
     """
     fnorm, cold = float(np.linalg.norm(fvals)), z is None
     if cold:  # G^T G z = f to 1e-1, scaled to the minimizer of J_0 along its ray
@@ -107,29 +109,24 @@ def _minimize(grid: Grid, fvals: np.ndarray, z: np.ndarray | None, p: float, tol
         if gnorm <= tol_abs or it == max_iters:
             return z, gnorm, it
         kacanov = kacanov and gnorm > 1e-2 * fnorm  # once Newton, always Newton
-        if kacanov:
-            d = _pcg(lambda v: state.hessian_vector(v, frozen=True), fvals,
-                     1.0 / state.hessian_diagonal(frozen=True), z.copy(), 0.5 * gnorm,
-                     grid.n_nodes)[0] - z
-        else:
-            d, _, _ = _pcg(state.hessian_vector, -grad, 1.0 / state.hessian_diagonal(),
-                           np.zeros_like(z), min(0.5, np.sqrt(gnorm / fnorm)) * gnorm,
-                           grid.n_nodes)
+        forcing = 0.5 if kacanov else min(0.5, np.sqrt(gnorm / fnorm))
+        d, _, _ = _pcg(lambda v: state.hessian_vector(v, frozen=kacanov), -grad,
+                       1.0 / state.hessian_diagonal(frozen=kacanov), np.zeros_like(z),
+                       forcing * gnorm, grid.n_nodes)
         decrement = -float(np.dot(grad, d))
         noise = 64 * np.finfo(float).eps * (abs(energy) + abs(fz))
         step, stalled = 1.0, False
-        while not stalled:  # a Kacanov step is taken whole
+        while not stalled:
             z_try = z + step * d
             with np.errstate(over="ignore"):  # a J that overflows fails the Armijo test
                 trial = EnergyState(grid, z_try, p, EPS)
                 energy_try, fz_try = trial.energy() / p, float(np.dot(fvals, z_try))
-            if kacanov or decrement <= noise or \
-                    energy_try - fz_try <= energy - fz - 1e-4 * step * decrement:
+            if decrement <= noise or energy_try - fz_try <= energy - fz - 1e-4 * step * decrement:
                 break
             step *= 0.5
             stalled = not step * decrement > noise  # also stops on a NaN direction
         grad_try = trial.flux_divergence() - fvals
-        if stalled or not kacanov and decrement <= noise and np.linalg.norm(grad_try) >= gnorm:
+        if stalled or decrement <= noise and np.linalg.norm(grad_try) >= gnorm:
             raise ConvergenceError(
                 f"inner solve missed tolerance {tol_abs / fnorm:g} (line search stalled; "
                 f"relative gradient {gnorm / fnorm:.3e})", Field(grid, z), gnorm)

@@ -190,10 +190,11 @@ def dilate_grid(grid: Grid, s: float) -> Grid:
     return Grid(grid.group, corners.T, grid.resolution)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Field:
     """One real value per interior node, implicitly zero on the boundary, with
-    grid-checked arithmetic: the one node-value type, operator values too."""
+    grid-checked arithmetic: the one node-value type, operator values too.
+    == and hash are by identity; compare values with np.array_equal."""
 
     grid: Grid
     values: np.ndarray

@@ -373,6 +373,17 @@ def test_nonconverged_exit_code(tmp_path):
     assert summary["lambda_hat"] > 0  # results still written
 
 
+def test_quotient_gap_above_tol_outer_exits_2(tmp_path):
+    # E2 32^2 p=1.1 meets the stop rule with R(g) about 4e-4 above mu
+    out = tmp_path / "run"
+    code = main(["--group", "euclidean2", "--box", "0,1,0,1", "--resolution", "32,32",
+                 "--p", "1.1", "--q", "2", "--out", str(out)])
+    assert code == 2
+    assert read_summary(out)["converged"] is False
+    with open(out / "trace.csv") as fh:
+        assert len(list(csv.reader(fh))) > 1
+
+
 def test_inner_failure_exit_code(tmp_path, monkeypatch):
     # a failed inner solve after two completed steps still writes the artifacts
     fail_inner_solve_on_call(monkeypatch, 3)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import subeigen as se
+from subeigen import diagnostics
 from subeigen.diagnostics import (
     decay_inequality_checks,
     embedding_ratio,
@@ -10,6 +11,7 @@ from subeigen.diagnostics import (
     regularity_report,
     sobolev_constant_from_lambda,
 )
+from subeigen.eigensolver import normalize
 
 TWO_PI_SQ = 2 * np.pi ** 2
 
@@ -129,6 +131,21 @@ def test_regularity_report_fields():
     assert rep.k_threshold >= 1.0
     assert rep.level_measures[0][0] == pytest.approx(rep.k_threshold)
     assert rep.level_measures[-1][1] == 0.0
+
+
+def test_each_level_is_measured_once(monkeypatch):
+    grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (16, 16))
+    r = se.inverse_iteration(se.SolverConfig(grid=grid, p=2.0, q=2.0))
+    real, measured = diagnostics.level_set_measure, []
+    monkeypatch.setattr(diagnostics, "level_set_measure",
+                        lambda u, k: measured.append(k) or real(u, k))
+    rep = regularity_report(r.eigenfunction, r.lambda_hat, 2.0, 2.0)
+    assert measured == [k for k, _ in rep.level_measures]
+    # the decay checks read the same levels and measures
+    S = sobolev_constant_from_lambda(r.lambda_hat, grid, 2.0, 2.0)
+    checks = decay_inequality_checks(normalize(r.eigenfunction, 2.0), r.lambda_hat, S,
+                                     2.0, 2.0, 2)
+    assert [(c["k"], c["measure"]) for c in checks] == rep.level_measures
 
 
 def test_regularity_report_case2_alpha_positive():

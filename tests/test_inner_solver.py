@@ -171,6 +171,26 @@ def test_rough_warm_start_below_p2(monkeypatch, p):
     assert np.max(np.abs(z.values - cold.values)) <= 1e-8 * np.max(np.abs(cold.values))
 
 
+@pytest.mark.parametrize("p", [1.2, 1.5])
+def test_overlong_kacanov_steps_pass_the_armijo_test(monkeypatch, p):
+    # a frozen operator returning a quarter of its product makes every Kacanov
+    # step about four times too long; the one Armijo test still lowers J
+    real = EnergyState.hessian_vector
+
+    def quarter(self, v, frozen=False):
+        return 0.25 * real(self, v, frozen) if frozen else real(self, v, frozen)
+
+    monkeypatch.setattr(EnergyState, "hessian_vector", quarter)
+    monkeypatch.setattr(inner_solver, "MAX_ITERS", 200)
+    grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (6, 6))
+    f = se.Field(grid, np.ones(grid.n_nodes))
+    hist: list = []
+    solve_inner(f, p, 1e-8, history=hist)
+    hist = np.array(hist)
+    assert len(hist) >= 2
+    assert np.all(np.diff(hist) <= 1e-10 * np.maximum(np.abs(hist[:-1]), 1.0))
+
+
 def test_warm_start_above_p2_runs_newton_steps_only(monkeypatch):
     # the warm start of an outer step: the solution for a nearby right-hand side
     grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (6, 6))

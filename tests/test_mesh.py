@@ -265,6 +265,13 @@ def test_field_arithmetic_and_grid_check(unit_square, rng):
         u + se.Field.zeros(other)
 
 
+def test_field_equality_and_hash_are_by_identity(unit_square):
+    u, v = se.Field.ones(unit_square), se.Field.ones(unit_square)
+    assert (u == u) is True and (u == v) is False and (u != v) is True
+    assert len({u, v, u}) == 2
+    assert np.array_equal(u.values, v.values)
+
+
 def test_field_dump_csv(tmp_path, unit_cube_heis, rng):
     u = random_field(unit_cube_heis, rng)
     path = tmp_path / "field.csv"

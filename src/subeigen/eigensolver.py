@@ -176,7 +176,7 @@ def _start_iterate(grid: Grid, p: float, q: float, start: Field | str) -> tuple[
 
 
 # Anderson mixing depth: the number of past differences the extrapolation
-# uses, so the last _ANDERSON_DEPTH + 1 (w, g) pairs are kept.
+# uses, those of the last _ANDERSON_DEPTH + 1 (w, g) pairs.
 _ANDERSON_DEPTH = 5
 
 # Inexact inner solves: while the iterate is still moving, step n first solves
@@ -185,18 +185,17 @@ _LOOSE_FACTOR = 0.1
 _LOOSE_CAP = 1e-2
 
 
-def _anderson_candidate(ws: list[np.ndarray], gs: list[np.ndarray], grid: Grid,
-                        q: float) -> Field | None:
+def _anderson_candidate(g: np.ndarray, f: np.ndarray, dG: list[np.ndarray],
+                        dF: list[np.ndarray], grid: Grid, q: float) -> Field | None:
     """Normalized Anderson extrapolation g_n - dG gamma, where gamma is the
     least-squares fit of the newest fixed-point residual f_n = g_n - w_n by
-    the differences dF of the kept residuals; None if it is degenerate."""
-    G = np.array(gs)
-    F = G - np.array(ws)
+    the differences dF of the kept residuals, and dG holds those of the kept
+    g, oldest first; None if it is degenerate."""
     try:
-        gamma = np.linalg.lstsq(np.diff(F, axis=0).T, F[-1], rcond=None)[0]
+        gamma = np.linalg.lstsq(np.array(dF).T, f, rcond=None)[0]
     except np.linalg.LinAlgError:
         return None
-    cand = Field(grid, G[-1] - np.diff(G, axis=0).T @ gamma)
+    cand = Field(grid, g - np.array(dG).T @ gamma)
     nrm = lq_norm(cand, q)
     if not (math.isfinite(nrm) and nrm > 0.0):
         return None
@@ -252,8 +251,9 @@ def inverse_iteration(cfg: SolverConfig, w0: Field | str = "default") -> EigenRe
     w, R_w = _start_iterate(cfg.grid, p, q, w0)
 
     history: list[IterationRecord] = []
-    ws: list[np.ndarray] = []
-    gs: list[np.ndarray] = []
+    dF: list[np.ndarray] = []  # differences of the kept residuals f_i = g_i - w_i
+    dG: list[np.ndarray] = []  # and of the kept g_i, each made once
+    f = None
     converged = False
     g = warm = None
     tol, loose_tol = cfg.tol_inner, _LOOSE_CAP
@@ -273,16 +273,18 @@ def inverse_iteration(cfg: SolverConfig, w0: Field | str = "default") -> EigenRe
                 "nonzero solution for nonzero w, so this indicates a solver bug"
             )
         mu = znorm ** (1.0 - p)
-        g = normalize(z, q)
-        ws = ws[-_ANDERSON_DEPTH:] + [w.values]
-        gs = gs[-_ANDERSON_DEPTH:] + [g.values]
+        g_prev, f_prev, g = g, f, normalize(z, q)
+        f = g.values - w.values
+        if f_prev is not None:
+            dF = (dF + [f - f_prev])[-_ANDERSON_DEPTH:]
+            dG = (dG + [g.values - g_prev.values])[-_ANDERSON_DEPTH:]
         w_next = g
         R_next = R_g = p_energy(g, p)
-        cand = _anderson_candidate(ws, gs, cfg.grid, q) if len(ws) > 1 else None
+        cand = _anderson_candidate(g.values, f, dG, dF, cfg.grid, q) if dF else None
         if cand is not None and (R_cand := p_energy(cand, p)) <= R_next:
             w_next, R_next = cand, R_cand
         else:
-            ws, gs = ws[-1:], gs[-1:]
+            dF, dG = [], []
         change = lq_norm(g - w, q)
         history.append(IterationRecord(mu, R_next, change, stats["iters"],
                                        residual(g, mu, p, q)))

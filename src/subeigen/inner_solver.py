@@ -6,8 +6,9 @@ The subproblem behind one inverse-iteration step asks for the unique z with
 
 i.e. the minimizer of J(z) = (1/p) E_eps(z) - <f, z>, E_eps mesh.EnergyState's energy.
 solve_inner is the one entry point for every p.  At p = 2 the operator is
-the assembled linear SPD stiffness G^T G, and a Jacobi preconditioned
-conjugate gradient runs on it.  Otherwise one loop minimizes J
+the assembled linear SPD stiffness G^T G, the grid's banded DIA matrix, and
+a Jacobi preconditioned conjugate gradient runs on it, one banded product
+per iteration.  Otherwise one loop minimizes J
 at the single eps EPS = 1e-8, which keeps the flux weight
 a = (|grad z|^2 + eps^2)^{(p-2)/2} finite (p < 2) and nonzero (p > 2)
 where the gradient vanishes.  A cold start is the scaled p = 2 solution.
@@ -23,7 +24,9 @@ tolerance is 0.5 for a Kacanov step and min(0.5, sqrt(||grad J|| / ||f||))
 for a Newton step (Eisenstat & Walker).
 
 All tolerances are relative to the data: the reported solution satisfies
-||A_eps(z) - f|| <= tol * ||f|| on the node-value arrays.
+||A_eps(z) - f|| <= tol * ||f|| on the node-value arrays, where at p = 2
+the residual is the conjugate gradient's recursively updated one, equal
+to f - G^T G z up to rounding.
 """
 
 from __future__ import annotations
@@ -57,25 +60,30 @@ MAX_ITERS = 100_000
 def _pcg(matvec, b: np.ndarray, Minv: np.ndarray, x: np.ndarray, tol: float,
          max_iters: int) -> tuple[np.ndarray, float, int]:
     """Conjugate gradient for the SPD system matvec(x) = b, preconditioned
-    by the diagonal inverse Minv, from x (updated in place).  Stops when
-    ||b - matvec(x)|| <= tol; returns (x, residual norm, iterations)."""
+    by the diagonal inverse Minv, from x (updated in place).  Stops when the
+    recursively updated residual r (r = b - matvec(x) at the start, then
+    r -= alpha * matvec(d) per iteration) has ||r|| <= tol; returns (x,
+    ||r||, iterations).  The work vectors are allocated once, so an
+    iteration allocates only what matvec returns."""
     r = b - matvec(x) if x.any() else b.copy()
     z = Minv * r
     d = z.copy()
+    step = np.empty_like(r)
     rz = float(np.dot(r, z))
     for it in range(max_iters):
-        rnorm = float(np.linalg.norm(r))
+        rnorm = math.sqrt(np.dot(r, r))
         if rnorm <= tol:
             return x, rnorm, it
         Kd = matvec(d)
         alpha = rz / float(np.dot(d, Kd))
-        x += alpha * d
-        r -= alpha * Kd
-        z = Minv * r
+        x += np.multiply(d, alpha, out=step)
+        r -= np.multiply(Kd, alpha, out=step)
+        np.multiply(Minv, r, out=z)
         rz_new = float(np.dot(r, z))
-        d = z + (rz_new / rz) * d
+        d *= rz_new / rz
+        d += z
         rz = rz_new
-    return x, float(np.linalg.norm(r)), max_iters
+    return x, math.sqrt(np.dot(r, r)), max_iters
 
 
 def _minimize(grid: Grid, fvals: np.ndarray, z: np.ndarray | None, p: float, tol_abs: float,
@@ -138,7 +146,8 @@ def solve_inner(f: Field, p: float, tol: float, x0: Field | None = None,
                 loose: tuple[float, Callable[[Field], bool]] | None = None) -> Field:
     """Minimize J of the module docstring at eps = EPS for p > 1 and tol
     finite and positive, until ||A_eps(z) - f|| <= tol * ||f||: by CG on
-    G^T G at p = 2, otherwise by the steps of the module docstring, from x0
+    G^T G at p = 2, which tests its recursively updated residual in place
+    of f - G^T G z, otherwise by the steps of the module docstring, from x0
     or else from 0 (p = 2) or the cold start.  f = 0 returns 0.  ``history``
     gets J at each p != 2 iterate.  MAX_ITERS CG iterations or steps in one
     decade (below), or a line-search stall, raise ConvergenceError.

@@ -10,9 +10,15 @@ discrete integration by parts exact: for p = 2,
 
     <A u, v> = sum_sites grad u . grad v * cell_volume     (exactly).
 
-The gradient matrix is assembled in one pass from the node lattice into
+One cached stencil, Grid.gradient_stencil, owns the gradient's coefficient
+rule: per component, the weight with which each site reads the node at each
+fixed lattice offset.  The gradient matrix is read off it in one pass into
 canonical CSR (sorted column indices, no duplicates, no stored zeros), so
 its in-row order, and with it the rounding of every product, is fixed here.
+The p = 2 stiffness G^T G is built from the same stencil as a banded DIA
+matrix, and the Hessian diagonal is summed over it, both in the summation
+order of the sparse products they replace, so their values are those
+products' to the bit.
 
 Field is the one node-value type, and horizontal_gradient(u) is G u as an
 (n1, n_sites) array.  p_energy is exact; its kernel EnergyState also takes
@@ -113,38 +119,89 @@ class Grid:
         """(n_sites, N) coordinates of forward-difference sites."""
         return self._lattice_coordinates(0)
 
+    def _sites_reading(self, offset) -> tuple[slice, ...]:
+        """Site-lattice slices of the sites s for which s + offset is an
+        interior node, in node order (each 0/1 offset entry shifts one axis)."""
+        return tuple(slice(1 - o, r + 1 - o) for o, r in zip(offset, self.resolution))
+
+    @cached_property
+    def gradient_stencil(self) -> tuple[dict[tuple[int, ...], np.ndarray], ...]:
+        """The coefficient rule of the horizontal gradient, one map per component.
+
+        Component c maps each site-lattice offset o (0 or a unit vector
+        e_axis, in descending order) to the site-shaped weights with which
+        site s reads node s + o: for each (axis, coeff) term of
+        ``group.horizontal_terms`` at the sites, coeff[s] * (1/h) at e_axis
+        and -coeff[s] * (1/h) at 0, where the terms of one component sum.
+        A weight is zero where s + o is not an interior node.
+        """
+        N = len(self.site_shape)
+        stencil = []
+        for component in self.group.horizontal_terms(self.site_coordinates):
+            weights = {(0,) * N: np.zeros(self.site_shape)}
+            centre = self._sites_reading((0,) * N)
+            for axis, coeff in component:
+                scaled = coeff.reshape(self.site_shape) * (1.0 / self.spacings[axis])
+                ahead = tuple(int(j == axis) for j in range(N))
+                weights[ahead] = np.zeros(self.site_shape)
+                weights[ahead][self._sites_reading(ahead)] = scaled[self._sites_reading(ahead)]
+                weights[(0,) * N][centre] += -scaled[centre]
+            stencil.append(dict(sorted(weights.items(), reverse=True)))
+        return tuple(stencil)
+
     @cached_property
     def gradient_matrix(self) -> sp.csr_matrix:
         """Horizontal gradient as an (n1 * n_sites, n_nodes) sparse matrix.
 
-        Component c occupies rows [c * n_sites, (c+1) * n_sites).  For each
-        (axis, coeff) term of a component, node n with lattice index
-        l = idx + 1 is read by site l - e_axis with weight coeff/h and by
-        site l with weight -coeff/h.  The triplets build canonical CSR in
-        one pass; its only additions are the two-term sums where two terms
-        of one component read the same node at the same site.
+        Component c occupies rows [c * n_sites, (c+1) * n_sites): row
+        c * n_sites + s holds the nonzero weights of ``gradient_stencil``
+        component c at site s, at the columns of the nodes s + o.  Ascending
+        offsets are ascending columns, so the rows are read off in canonical
+        CSR order with no sort.
         """
-        site_ids = np.arange(self.n_sites, dtype=np.int32).reshape(self.site_shape)
-        at_node = site_ids[(slice(1, None),) * len(self.site_shape)].ravel()  # site l per node
-        rows, vals = [], []
-        for c, component in enumerate(self.group.horizontal_terms(self.site_coordinates)):
-            for axis, coeff in component:
-                inv_h = 1.0 / self.spacings[axis]
-                behind = at_node - int(np.prod(self.site_shape[axis + 1:]))  # site l - e_axis
-                for sites, weight in ((behind, inv_h), (at_node, -inv_h)):
-                    rows.append(c * self.n_sites + sites)
-                    vals.append(coeff[sites] * weight)
-        cols = np.tile(np.arange(self.n_nodes, dtype=np.int32), len(rows))
-        G = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), cols)),
-                          shape=(self.group.horizontal_dim * self.n_sites, self.n_nodes))
-        G.eliminate_zeros()  # coefficients vanish on the x = 0 and y = 0 lines
-        return G
+        # node number at every lattice index 0..res + 1, -1 off the interior
+        node_ids = np.pad(np.arange(self.n_nodes, dtype=np.int32).reshape(self.resolution), 1,
+                          constant_values=-1)
+        vals, cols, counts = [], [], []
+        for component in self.gradient_stencil:
+            offsets = sorted(component)
+            weights = np.stack([component[o].ravel() for o in offsets], axis=1)
+            nodes = np.stack([node_ids[tuple(slice(j, j + m) for j, m in zip(o, self.site_shape))]
+                              .ravel() for o in offsets], axis=1)
+            stored = weights != 0.0  # coefficients vanish on the x = 0 and y = 0 lines
+            vals.append(weights[stored])
+            cols.append(nodes[stored])
+            counts.append(stored.sum(axis=1))
+        indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts)))).astype(np.int32)
+        return sp.csr_matrix((np.concatenate(vals), np.concatenate(cols), indptr),
+                             shape=(self.group.horizontal_dim * self.n_sites, self.n_nodes))
 
     @cached_property
-    def stiffness_p2(self) -> sp.csr_matrix:
-        """G^T G, the p = 2 operator on node values (volume weight excluded)."""
-        G = self.gradient_matrix
-        return sp.csr_matrix(G.T @ G)
+    def stiffness_p2(self) -> sp.dia_matrix:
+        """G^T G, the p = 2 operator on node values (volume weight excluded),
+        as a banded DIA matrix built from ``gradient_stencil``.
+
+        Each component adds, for each pair of its offsets (o, o'), the
+        products of their weights into the diagonal of the node offset
+        o' - o.  With o descending every entry sums its sites in ascending
+        order, and lattice offsets that meet on one node offset (an axis
+        with 1 or 2 nodes) have disjoint supports, so K, and K @ v with its
+        ascending diagonals, equal those of the CSR product G^T G bit for bit.
+        """
+        strides = [int(np.prod(self.resolution[j + 1:])) for j in range(len(self.resolution))]
+        pairs = [(component, o, o2) for component in self.gradient_stencil
+                 for o in component for o2 in component]
+
+        def node_offset(o, o2):
+            return sum((b - a) * st for a, b, st in zip(o, o2, strides))
+
+        offsets = sorted({node_offset(o, o2) for _, o, o2 in pairs})
+        row = {k: i for i, k in enumerate(offsets)}
+        data = np.zeros((len(offsets), self.n_nodes))
+        for component, o, o2 in pairs:  # DIA stores column j = node s + o2 at data[:, j]
+            at = self._sites_reading(o2)
+            data[row[node_offset(o, o2)]] += (component[o][at] * component[o2][at]).ravel()
+        return sp.dia_matrix((data, offsets), shape=(self.n_nodes, self.n_nodes))
 
     @cached_property
     def gradient_transpose(self) -> sp.csr_matrix:
@@ -154,16 +211,6 @@ class Grid:
     @cached_property
     def stiffness_diagonal(self) -> np.ndarray:
         return np.asarray(self.stiffness_p2.diagonal())
-
-    @cached_property
-    def gradient_products(self) -> sp.csr_matrix:
-        """Entrywise products G_k * G_l of the gradient's component blocks,
-        stacked in row-major (k, l) order, so that the diagonal of G^T D G
-        is its transpose times the stacked per-site entries D_kl."""
-        # tocsr() unwraps a delegating proxy such as perfbench's product counter
-        G, m, n1 = self.gradient_matrix.tocsr(), self.n_sites, self.group.horizontal_dim
-        blocks = [G[k * m:(k + 1) * m] for k in range(n1)]
-        return sp.csr_matrix(sp.vstack([bk.multiply(bl) for bk in blocks for bl in blocks]))
 
     def core_mask(self) -> np.ndarray:
         """Boolean mask of nodes inside the half-size box about the center."""
@@ -305,9 +352,25 @@ class EnergyState:
         return self.grid.gradient_transpose @ w.ravel()
 
     def hessian_diagonal(self, frozen: bool = False) -> np.ndarray:
-        blocks = (np.eye(len(self.g))[:, :, None] * self._flux_weight() if frozen
+        """Node n sums (c_k,o * c_l,o) * D_kl at the site n - o over the
+        ``gradient_stencil`` offsets o that components k and l share: (k, l)
+        ascending, then o descending, so every node sums its sites in
+        ascending order.  The sum runs on the flat site lattice, where node
+        n sits at its own lattice index and the site n - o one fixed step
+        before it."""
+        grid, n1 = self.grid, len(self.g)
+        blocks = (np.eye(n1)[:, :, None] * self._flux_weight() if frozen
                   else self._hessian_blocks())
-        return self.grid.gradient_products.T @ blocks.ravel()
+        total, term = np.zeros(grid.n_sites), np.empty(grid.n_sites)
+        for k, l in np.ndindex(n1, n1):
+            ck, cl = grid.gradient_stencil[k], grid.gradient_stencil[l]
+            for o in filter(cl.__contains__, ck):
+                step = int(np.ravel_multi_index(o, grid.site_shape))
+                np.multiply(ck[o].ravel(), cl[o].ravel(), out=term)
+                np.multiply(term, blocks[k, l], out=term)
+                total[step:] += term[:grid.n_sites - step]
+        at_nodes = grid._sites_reading((0,) * len(grid.site_shape))
+        return total.reshape(grid.site_shape)[at_nodes].ravel()
 
 
 def p_energy(u: Field, p: float) -> float:

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as sla
 
 import subeigen as se
@@ -72,6 +73,24 @@ def test_inverse_iteration_heisenberg_p2_outer_steps():
     assert r.converged
     assert r.outer_iters <= 30
     assert r.lambda_hat == pytest.approx(lam, rel=1e-8)
+
+
+@pytest.mark.parametrize("group, n, dim, q", [("euclidean2", 16, 2, 2.0),
+                                              ("heisenberg1", 8, 3, 3.0)])
+def test_banded_stiffness_changes_no_bit_of_inverse_iteration(group, n, dim, q):
+    # the same solve on the CSR product G^T G in place of the banded DIA K
+    runs = []
+    for csr in (False, True):
+        grid = se.build_grid(group, [(0, 1)] * dim, (n,) * dim)
+        if csr:
+            G = grid.gradient_matrix
+            grid.__dict__["stiffness_p2"] = sp.csr_matrix(G.T @ G)
+        runs.append(se.inverse_iteration(se.SolverConfig(grid=grid, p=2.0, q=q)))
+    banded, product = runs
+    assert banded.lambda_hat.hex() == product.lambda_hat.hex()
+    assert banded.outer_iters == product.outer_iters
+    assert banded.inner_iters_trace == product.inner_iters_trace
+    assert banded.eigenfunction.values.tobytes() == product.eigenfunction.values.tobytes()
 
 
 def spy_inner_solves(monkeypatch) -> list:

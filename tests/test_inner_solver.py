@@ -3,7 +3,7 @@ import pytest
 
 import subeigen as se
 from subeigen import inner_solver
-from subeigen.inner_solver import ConvergenceError, _minimize, solve_inner
+from subeigen.inner_solver import ConvergenceError, _minimize, _pcg, solve_inner
 from subeigen.mesh import EnergyState
 from subeigen.operators import pairing
 from subeigen.oracle import multistart_minimize
@@ -76,6 +76,44 @@ def test_cg_and_newton_agree_at_p2(rng):
     z_newton, _, _ = _minimize(grid, f.values, np.zeros(grid.n_nodes), 2.0,
                                tol * np.linalg.norm(f.values), 100, None)
     assert np.max(np.abs(z_cg.values - z_newton)) < 10 * tol
+
+
+def allocating_pcg(matvec, b, Minv, x, tol, max_iters):
+    """The Jacobi-PCG loop as first written, with fresh vectors per iteration."""
+    r = b - matvec(x) if x.any() else b.copy()
+    z = Minv * r
+    d = z.copy()
+    rz = float(np.dot(r, z))
+    for it in range(max_iters):
+        rnorm = float(np.linalg.norm(r))
+        if rnorm <= tol:
+            return x, rnorm, it
+        Kd = matvec(d)
+        alpha = rz / float(np.dot(d, Kd))
+        x += alpha * d
+        r -= alpha * Kd
+        z = Minv * r
+        rz_new = float(np.dot(r, z))
+        d = z + (rz_new / rz) * d
+        rz = rz_new
+    return x, float(np.linalg.norm(r)), max_iters
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pcg_work_vectors_change_no_bit(seed):
+    # random SPD systems with a spread diagonal, from zero and from a warm start
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 60))
+    Q = rng.standard_normal((n, n))
+    K = Q @ Q.T + np.diag(rng.uniform(0.1, 10.0, n)) * n
+    b, Minv = rng.standard_normal(n), 1.0 / np.diag(K)
+    for x0 in (np.zeros(n), rng.standard_normal(n)):
+        for tol, max_iters in ((1e-10 * np.linalg.norm(b), 10 * n), (0.0, 3)):
+            x, res, its = _pcg(lambda v: K @ v, b, Minv, x0.copy(), tol, max_iters)
+            x_ref, res_ref, its_ref = allocating_pcg(lambda v: K @ v, b, Minv, x0.copy(), tol,
+                                                     max_iters)
+            assert x.tobytes() == x_ref.tobytes()
+            assert (res, its) == (res_ref, its_ref)
 
 
 def test_energy_descent_history(rng):

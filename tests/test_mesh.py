@@ -124,18 +124,24 @@ def test_gradient_refinement_first_order_heisenberg():
     assert 1.5 < rate2 < 2.8
 
 
-# per axis: box lo, box width, interior node count; 2 axes are euclidean2, 3 heisenberg1
-gradient_axes = st.one_of(*(st.lists(st.tuples(st.floats(-2, 1), st.floats(0.5, 3),
-                                                st.integers(1, 5)), min_size=n, max_size=n)
-                            for n in (2, 3)))
+# per axis: box lo, box width, interior node count; 2 axes are euclidean2, 3 heisenberg1.
+# Counts 1 and 2 make distinct lattice offsets meet on one node offset.
+grid_axes = st.one_of(*(st.lists(st.tuples(st.floats(-2, 1), st.floats(0.5, 3),
+                                            st.integers(1, 12)), min_size=n, max_size=n)
+                        for n in (2, 3)))
+
+
+def axes_grid(axes):
+    group = "euclidean2" if len(axes) == 2 else "heisenberg1"
+    return se.build_grid(group, [(lo, lo + w) for lo, w, _ in axes], [r for *_, r in axes])
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(axes=gradient_axes, seed=st.integers(0, 2 ** 32 - 1))
+@given(axes=grid_axes, seed=st.integers(0, 2 ** 32 - 1))
 @example(axes=[(-1.0, 2.0, 1)] * 3, seed=0)  # sites on x = 0 and y = 0: zero coefficients
 def test_gradient_matrix_matches_slicing_stencil(axes, seed):
-    group = "euclidean2" if len(axes) == 2 else "heisenberg1"
-    grid = se.build_grid(group, [(lo, lo + w) for lo, w, _ in axes], [r for *_, r in axes])
+    grid = axes_grid(axes)
+    group = grid.group.name
     G = grid.gradient_matrix
     assert G.has_canonical_format
     assert np.all(G.data != 0.0)
@@ -154,6 +160,62 @@ def test_gradient_matrix_matches_slicing_stencil(axes, seed):
     # absolute slack for entries where the terms cancel
     scale = np.abs(u).max() * (1 + np.abs(grid.site_coordinates).max()) / min(grid.spacings)
     np.testing.assert_allclose(G @ u, np.concatenate((X1, X2)), rtol=1e-13, atol=1e-13 * scale)
+
+
+def triplet_gradient(grid):
+    """The gradient as first assembled, independent of Grid.gradient_stencil:
+    one (site, node, weight) triplet per horizontal term and node, summed
+    into canonical CSR by scipy."""
+    site_ids = np.arange(grid.n_sites, dtype=np.int32).reshape(grid.site_shape)
+    at_node = site_ids[(slice(1, None),) * len(grid.site_shape)].ravel()
+    rows, vals = [], []
+    for c, component in enumerate(grid.group.horizontal_terms(grid.site_coordinates)):
+        for axis, coeff in component:
+            inv_h = 1.0 / grid.spacings[axis]
+            behind = at_node - int(np.prod(grid.site_shape[axis + 1:]))
+            for sites, weight in ((behind, inv_h), (at_node, -inv_h)):
+                rows.append(c * grid.n_sites + sites)
+                vals.append(coeff[sites] * weight)
+    cols = np.tile(np.arange(grid.n_nodes, dtype=np.int32), len(rows))
+    G = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), cols)),
+                      shape=(grid.group.horizontal_dim * grid.n_sites, grid.n_nodes))
+    G.eliminate_zeros()
+    return G
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(axes=grid_axes, seed=st.integers(0, 2 ** 32 - 1))
+@example(axes=[(-1.0, 2.0, 1), (-1.0, 2.0, 2), (-1.0, 2.0, 1)], seed=0)
+def test_stencil_operators_equal_the_triplet_build_bit_for_bit(axes, seed):
+    grid = axes_grid(axes)
+    G, ref = grid.gradient_matrix, triplet_gradient(grid)
+    for name in ("data", "indices", "indptr"):
+        got, want = getattr(G, name), getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    K, ref_K = grid.stiffness_p2, sp.csr_matrix(ref.T @ ref)
+    assert K.format == "dia" and np.array_equal(np.sort(K.offsets), K.offsets)
+    assert np.array_equal(K.toarray(), ref_K.toarray())
+    assert np.array_equal(grid.stiffness_diagonal, ref_K.diagonal())
+    for v in np.random.default_rng(seed).standard_normal((3, grid.n_nodes)):
+        assert np.array_equal(K @ v, ref_K @ v)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(axes=grid_axes, seed=st.integers(0, 2 ** 32 - 1))
+def test_stencil_hessian_diagonal_equals_the_product_formula(axes, seed):
+    # the former assembly: entrywise products G_k * G_l of the component
+    # blocks, stacked in (k, l) order, transposed onto the blocks D_kl
+    grid = axes_grid(axes)
+    G, m, n1 = triplet_gradient(grid), grid.n_sites, grid.group.horizontal_dim
+    parts = [G[k * m:(k + 1) * m] for k in range(n1)]
+    products = sp.csr_matrix(sp.vstack([bk.multiply(bl) for bk in parts for bl in parts]))
+    z = np.random.default_rng(seed).standard_normal(grid.n_nodes)
+    for p in (1.5, 3.0):
+        state = EnergyState(grid, z, p, 1e-8)
+        a = state.s ** ((p - 2) / 2)
+        for frozen, blocks in ((True, np.eye(n1)[:, :, None] * a),
+                               (False, state._hessian_blocks())):
+            assert np.array_equal(state.hessian_diagonal(frozen), products.T @ blocks.ravel())
 
 
 def test_p_energy_zero_and_homogeneity(unit_square, rng):

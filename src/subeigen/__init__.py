@@ -12,8 +12,8 @@ The public surface, bottom up:
   source), both returning Field, the volume pairing, eigenpair residual.
 * :mod:`subeigen.inner_solver` -- the convex subproblem A(z) = f, the only
   place the energy is regularized (mesh.EnergyState at a fixed eps).
-* :mod:`subeigen.eigensolver` -- inverse iteration and direct quotient
-  minimization for the first eigenpair.
+* :mod:`subeigen.eigensolver` -- Anderson-accelerated nonlinear inverse
+  iteration for the first eigenpair, and the Rayleigh quotient it minimizes.
 * :mod:`subeigen.diagnostics` -- boundedness/positivity diagnostics and
   embedding-constant machinery.
 * :mod:`subeigen.oracle` -- dense / multistart ground truth on tiny grids.
@@ -33,7 +33,6 @@ from .eigensolver import (
     IterationRecord,
     SolverConfig,
     inverse_iteration,
-    rayleigh_minimize,
     rayleigh_quotient,
 )
 from .groups import (
@@ -70,7 +69,7 @@ __all__ = [
     "apply_A", "apply_B", "pairing", "residual",
     "ConvergenceError", "solve_inner",
     "SolverConfig", "EigenResult", "IterationRecord", "inverse_iteration",
-    "rayleigh_minimize", "rayleigh_quotient",
+    "rayleigh_quotient",
     "RegularityReport", "estimate_sobolev_constant", "linf_threshold",
     "level_set_measure", "positivity_check", "regularity_report",
     "OracleResult", "brute_force_lambda",

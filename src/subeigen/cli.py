@@ -3,23 +3,23 @@
 The CLI only parses input, writes artifacts and reports errors: Grid owns
 the group, box and resolution rules, SolverConfig the exponents and solver
 settings.  A JSON object in a file (--config), updated by flags that mirror
-its fields one to one, configures a run, which writes into --out:
+its fields one to one, configures a run, which writes into --out.  The one
+flag without a field is the deprecated --method (inverse | both): every
+solve is an inverse_iteration, so main warns once and ignores it.
 
 * ``summary.json`` -- group/box/resolution/exponents, lambda_hat, residual,
-  convergence flag, iteration count, runtime, the regularity report, and
-  (method = both) both method values with their relative gap.
+  convergence flag, iteration count, runtime and the regularity report.
 * ``trace.csv`` -- the solver's history, one row per outer step: n, mu_n,
-  unorm_p, lq_change, inner_iters, residual, with an empty cell where the
-  method has no value (rayleigh's unorm_p and residual before the last row).
+  unorm_p, lq_change, inner_iters, residual.
 * ``field.csv`` (--dump-field) -- eigenfunction node values with coordinates.
-* ``results.csv`` (sweep mode, which takes no --method both, --oracle,
-  --dump-field or empty p or q list) -- one row per (p, q) pair in
-  lexicographic order; out-of-window pairs are skipped with a warning.
+* ``results.csv`` (sweep mode, which takes no --oracle, --dump-field or
+  empty p or q list) -- one row per (p, q) pair in lexicographic order;
+  out-of-window pairs are skipped with a warning.
 
 Exit codes: 0 converged, 2 ran but not converged (results still written;
-an inner solve that fails after the first outer step, or an inverse
-iteration whose quotient gap |R(g) - mu| stays above tol_outer mu at the
-stop, ends a run this way),
+an inner solve that fails after the first outer step, or a solve whose
+quotient gap |R(g) - mu| stays above tol_outer mu at the stop, ends a run
+this way),
 1 command-line, configuration or validation error (including out-of-range
 solver settings and exponents outside check_regime's window), an inner
 solve that fails on the first outer step, or a start iterate whose Rayleigh
@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .diagnostics import regularity_report
-from .eigensolver import EigenResult, SolverConfig, inverse_iteration, rayleigh_minimize
+from .eigensolver import EigenResult, SolverConfig, inverse_iteration
 from .groups import check_regime
 from .inner_solver import ConvergenceError
 from .mesh import build_grid, dump_field_csv
@@ -62,7 +62,6 @@ class RunConfig:
     resolution: list[int] = field(default_factory=lambda: [16, 16])
     p: float = 2.0
     q: float = 2.0
-    method: str = "inverse"  # inverse | rayleigh | both
     tol_inner: float | None = SolverConfig.tol_inner
     tol_outer: float = SolverConfig.tol_outer
     max_outer: int = SolverConfig.max_outer
@@ -76,10 +75,6 @@ class RunConfig:
     def __post_init__(self):
         """Rejects what the command line alone can get wrong; Grid checks the
         group, box and resolution, SolverConfig the exponents and settings."""
-        if self.method not in ("inverse", "rayleigh", "both"):
-            raise ValueError(f"unknown method {self.method!r} (inverse | rayleigh | both)")
-        if self.sweeping and self.method == "both":
-            raise ValueError("a sweep runs one method: inverse or rayleigh, not both")
         for name in ("oracle", "dump_field"):
             if self.sweeping and getattr(self, name):
                 raise ValueError(f"{name} applies to a single run, not a sweep")
@@ -106,8 +101,8 @@ def _conforms(value, kind) -> bool:
 
 
 def _float_repr(x) -> str:
-    """CSV cell for a float; None, a value the method lacks, is empty."""
-    return "" if x is None else repr(float(x))
+    """CSV cell for a float."""
+    return repr(float(x))
 
 
 def _finite_or_null(x):
@@ -145,34 +140,23 @@ def run(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
-    results: dict[str, EigenResult] = {}
-    if cfg.method in ("inverse", "both"):
-        results["inverse"] = inverse_iteration(solver_cfg)
-    if cfg.method in ("rayleigh", "both"):
-        results["rayleigh"] = rayleigh_minimize(solver_cfg)
+    result = inverse_iteration(solver_cfg)
     runtime = time.perf_counter() - t0
 
-    primary = results.get("inverse", results.get("rayleigh"))
-    report = regularity_report(primary.eigenfunction, primary.lambda_hat, cfg.p, cfg.q)
+    report = regularity_report(result.eigenfunction, result.lambda_hat, cfg.p, cfg.q)
     summary = {
         "group": cfg.group,
         "box": [[float(lo), float(hi)] for lo, hi in cfg.box],
         "resolution": [int(r) for r in cfg.resolution],
         "p": float(cfg.p),
         "q": float(cfg.q),
-        "method": cfg.method,
-        "lambda_hat": primary.lambda_hat,
-        "converged": all(r.converged for r in results.values()),
-        "outer_iters": primary.outer_iters,
-        "residual": primary.residual,
+        "lambda_hat": result.lambda_hat,
+        "converged": result.converged,
+        "outer_iters": result.outer_iters,
+        "residual": result.residual,
         "runtime_seconds": runtime,
         "regularity": dataclasses.asdict(report),
     }
-    if cfg.method == "both":
-        li, lr = results["inverse"].lambda_hat, results["rayleigh"].lambda_hat
-        summary["lambda_hat_inverse"] = li
-        summary["lambda_hat_rayleigh"] = lr
-        summary["rel_gap"] = abs(li - lr) / max(abs(li), abs(lr))
     if cfg.oracle:
         summary["oracle_lambda"] = brute_force_lambda(grid, cfg.p, cfg.q,
                                                       seed=cfg.seed).lambda_star
@@ -180,10 +164,10 @@ def run(cfg: RunConfig) -> int:
     with open(out / "summary.json", "w") as fh:
         json.dump(_finite_or_null(summary), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
-    _write_trace(primary, out / "trace.csv")
+    _write_trace(result, out / "trace.csv")
     if cfg.dump_field:
-        dump_field_csv(primary.eigenfunction, out / "field.csv")
-    return 0 if summary["converged"] else 2
+        dump_field_csv(result.eigenfunction, out / "field.csv")
+    return 0 if result.converged else 2
 
 
 def sweep(cfg: RunConfig) -> int:
@@ -206,8 +190,7 @@ def sweep(cfg: RunConfig) -> int:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    solver = rayleigh_minimize if cfg.method == "rayleigh" else inverse_iteration
-    results = {pair: solver(solver_cfg) for pair, solver_cfg in solver_cfgs.items()}
+    results = {pair: inverse_iteration(solver_cfg) for pair, solver_cfg in solver_cfgs.items()}
 
     with open(out / "results.csv", "w", newline="") as fh:
         fh.write("p,q,lambda_hat,residual,outer_iters,converged\n")
@@ -227,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="subeigen",
         description="First Dirichlet (p,q)-eigenpair of the horizontal p-Laplacian "
-                    "on a box, by inverse iteration and/or Rayleigh quotient descent.",
+                    "on a box, by nonlinear inverse iteration.",
     )
     parser.add_argument("--config", help="JSON file with RunConfig fields; flags override")
     parser.add_argument("--group", help="euclidean2 | heisenberg1")
@@ -235,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--resolution", help="comma separated interior node counts per axis")
     parser.add_argument("--p", type=float, help="gradient exponent p > 1")
     parser.add_argument("--q", type=float, help="norm exponent q > 1")
-    parser.add_argument("--method", help="inverse | rayleigh | both")
+    parser.add_argument("--method", choices=("inverse", "both"),
+                        help="deprecated and ignored: every run uses inverse iteration")
     parser.add_argument("--tol-inner", type=float, help="inner tolerance of every outer step "
                         "that can end the run; earlier steps solve more loosely (default "
                         "1e-8 at p = 2, 1e-6 otherwise)")
@@ -290,7 +274,11 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 def main(argv=None) -> int:
     """The one place that reports an error: one line on stderr, exit code 1."""
     try:
-        cfg = config_from_args(build_parser().parse_args(argv))
+        args = build_parser().parse_args(argv)
+        if args.method is not None:
+            print(f"warning: --method {args.method} is deprecated and ignored; "
+                  f"every run uses inverse iteration", file=sys.stderr)
+        cfg = config_from_args(args)
         return sweep(cfg) if cfg.sweeping else run(cfg)
     except (ConvergenceError, OSError, OverflowError, ValueError) as exc:
         # JSONDecodeError is a ValueError; OverflowError a start quotient past float range

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolver import SolverConfig, normalize, rayleigh_minimize
+from .eigensolver import SolverConfig, inverse_iteration, normalize
 from .mesh import Field, Grid, lq_norm, p_energy
 
 __all__ = [
@@ -79,11 +79,11 @@ def sobolev_constant_from_lambda(lam: float, grid: Grid, p: float, l: float) -> 
 def estimate_sobolev_constant(grid: Grid, p: float, l: float) -> float:
     """Discrete best constant of the volume-normalized embedding on this grid.
 
-    Runs the deterministic quotient minimization for the (p, l) problem and
+    Runs inverse_iteration with default settings for the (p, l) problem and
     rearranges; the result is the largest S-free ratio over all nonzero
     fields.  SolverConfig rejects an exponent pair outside the window.
     """
-    result = rayleigh_minimize(SolverConfig(grid=grid, p=p, q=l))
+    result = inverse_iteration(SolverConfig(grid=grid, p=p, q=l))
     return sobolev_constant_from_lambda(result.lambda_hat, grid, p, l)
 
 
@@ -176,8 +176,7 @@ def regularity_report(u: Field, lam: float, p: float, q: float) -> RegularityRep
     ``u`` is renormalized to unit L^q norm internally (the bound is stated
     for that representative).  S is the discrete best constant for the
     exponent pair the active case needs: l = q reuses lam itself; l = p
-    (case I with q < p) runs one extra quotient minimization on the same
-    grid.
+    (case I with q < p) runs one extra inverse_iteration on the same grid.
     """
     grid = u.grid
     nu = grid.group.homogeneous_dim

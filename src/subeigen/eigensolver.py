@@ -1,44 +1,40 @@
-"""First Dirichlet (p,q)-eigenpair solvers on a discretized box.
+"""First Dirichlet (p,q)-eigenpair solver on a discretized box.
 
-Two independent routes to the same minimum of the Rayleigh quotient
+The eigenvalue is the minimum of the Rayleigh quotient
 
-    R(u) = p_energy(u, p) / lq_norm(u, q)^p :
+    R(u) = p_energy(u, p) / lq_norm(u, q)^p ,
 
-* ``inverse_iteration`` -- the nonlinear inverse power scheme as a fixed
-  point of F(w) = normalize(A^{-1} B(w)), accelerated by safeguarded
-  Anderson mixing.  Step n solves A(z) = B(w_n), sets
-  mu_n = ||z||_q^{1-p} and g_n = z/||z||_q; by degree-(p-1) homogeneity of
-  A, mu_n is the unique constant with A(g_n) = mu_n B(w_n).  An Anderson
-  extrapolation of the recent (w_i, g_i) pairs becomes w_{n+1} only if it
-  does not raise the quotient above R(g_n); otherwise w_{n+1} = g_n.  For
-  any unit-norm w_n, Hoelder gives R(g_n) <= mu_n <= R(w_n), so with exact
-  inner solves both {mu_n} and the quotients R(w_{n+1}) are nonincreasing
-  and squeeze onto a common limit >= the discrete minimum.  Steps far from
-  the fixed point solve inexactly, and such a solve is kept only if its
-  mu_n passes that bracket (within tol_inner), so the monotonicity holds
-  for them too.
+and ``inverse_iteration`` reaches it by the nonlinear inverse power scheme
+as a fixed point of F(w) = normalize(A^{-1} B(w)), accelerated by
+safeguarded Anderson mixing.  Step n solves A(z) = B(w_n), sets
+mu_n = ||z||_q^{1-p} and g_n = z/||z||_q; by degree-(p-1) homogeneity of A,
+mu_n is the unique constant with A(g_n) = mu_n B(w_n).  An Anderson
+extrapolation of the recent (w_i, g_i) pairs becomes w_{n+1} only if it
+does not raise the quotient above R(g_n); otherwise w_{n+1} = g_n.  For any
+unit-norm w_n, Hoelder gives R(g_n) <= mu_n <= R(w_n), so with exact inner
+solves both {mu_n} and the quotients R(w_{n+1}) are nonincreasing and
+squeeze onto a common limit >= the discrete minimum.  Steps far from the
+fixed point solve inexactly, and such a solve is kept only if its mu_n
+passes that bracket (within tol_inner), so the monotonicity holds for them
+too.
 
-* ``rayleigh_minimize`` -- projected descent on the unit L^q sphere along
-  the scale-invariant quotient gradient A(u) - R(u) B(u), renormalizing
-  each step, with a monotone Armijo line search on R.
-
-Both return an EigenResult whose eigenfunction has unit L^q norm and
+It returns an EigenResult whose eigenfunction has unit L^q norm and
 nonnegative node sum (sign fixed for deterministic output), and whose
-history holds one IterationRecord per outer step.  Both raise OverflowError
+history holds one IterationRecord per outer step.  It raises OverflowError
 when the quotient of the start iterate leaves the float range.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .groups import check_regime
 from .inner_solver import ConvergenceError, solve_inner
 from .mesh import Field, Grid, lq_norm, p_energy
-from .operators import apply_A, apply_B, residual
+from .operators import apply_B, residual
 
 __all__ = [
     "SolverConfig",
@@ -46,7 +42,6 @@ __all__ = [
     "EigenResult",
     "rayleigh_quotient",
     "inverse_iteration",
-    "rayleigh_minimize",
     "normalize",
 ]
 
@@ -89,14 +84,13 @@ class SolverConfig:
 class IterationRecord:
     """One outer step, whose n is its index in EigenResult.history; the
     fields are the remaining trace.csv columns.  unorm is the exact quotient
-    of the next (unit-norm) iterate; None marks a value the method does not
-    compute at that step."""
+    of the next (unit-norm) iterate."""
 
     mu: float
-    unorm: float | None
+    unorm: float
     change: float
     inner_iters: int
-    residual: float | None
+    residual: float
 
 
 @dataclass
@@ -107,7 +101,6 @@ class EigenResult:
     eigenfunction: Field
     history: list[IterationRecord]
     converged: bool
-    method: str
 
     @property
     def lambda_hat(self) -> float:
@@ -297,65 +290,5 @@ def inverse_iteration(cfg: SolverConfig, w0: Field | str = "default") -> EigenRe
             break
         loose_tol = tol if change <= cfg.tol_outer else min(_LOOSE_CAP, _LOOSE_FACTOR * change)
 
-    return EigenResult(g, history, converged, "inverse")
+    return EigenResult(g, history, converged)
 
-
-def rayleigh_minimize(cfg: SolverConfig, u0: Field | str = "default") -> EigenResult:
-    """Monotone projected descent on the quotient over the unit L^q sphere.
-
-    The descent direction at a normalized iterate is the quotient gradient
-    A(u) - R(u) B(u); steps are renormalized and accepted only on sufficient
-    decrease of R, so the records' mu (the quotient after each step) are
-    nonincreasing by construction and inner_iters counts the line-search
-    evaluations.  Only the last record carries unorm and residual, of the
-    returned iterate.  Stops after 5 consecutive steps with relative change
-    <= tol_outer.
-    """
-    p, q = cfg.p, cfg.q
-    u, _ = _start_iterate(cfg.grid, p, q, u0)
-
-    max_iters = 10 * cfg.max_outer
-    patience_needed = 5
-    vol = cfg.grid.cell_volume
-
-    R = rayleigh_quotient(u, p, q)
-    history: list[IterationRecord] = []
-    tau = 1.0 / float(np.max(cfg.grid.stiffness_diagonal))
-    patience = 0
-    converged = False
-    u_prev_vals = g_prev = None
-    for _ in range(max_iters):
-        d = apply_A(u, p).values - R * apply_B(u, q).values
-        if u_prev_vals is not None and g_prev is not None:
-            s = u.values - u_prev_vals
-            y = d - g_prev
-            sy = float(np.dot(s, y))
-            if sy > 0:
-                tau = float(np.dot(s, s)) / sy
-        tau = min(max(tau, 1e-18), 1e18)
-        gsq = float(np.dot(d, d))
-        step = tau
-        accepted = False
-        u_new, R_new = u, R
-        for evals in range(1, 61):
-            trial = normalize(Field(cfg.grid, u.values - step * d), q)
-            R_trial = rayleigh_quotient(trial, p, q)
-            if R_trial <= R - 1e-4 * step * p * vol * gsq:
-                u_new, R_new, accepted = trial, R_trial, True
-                break
-            step *= 0.5
-        rel_change = abs(R - R_new) / max(R_new, 1e-300)
-        change = 0.0
-        if accepted:
-            u_prev_vals, g_prev = u.values, d
-            change = lq_norm(u_new - u, q)
-            u, R = u_new, R_new
-        history.append(IterationRecord(R, None, change, evals, None))
-        patience = patience + 1 if rel_change <= cfg.tol_outer else 0
-        if patience >= patience_needed:
-            converged = True
-            break
-
-    history[-1] = replace(history[-1], unorm=p_energy(u, p),
-                          residual=residual(u, R, p, q))
-    return EigenResult(u, history, converged, "rayleigh")

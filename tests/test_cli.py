@@ -22,13 +22,12 @@ def reject_constant(name):
 def test_run_valid_euclidean_p2(tmp_path):
     out = tmp_path / "run"
     code = main(["--group", "euclidean2", "--box", "0,1,0,1", "--resolution", "16,16",
-                 "--p", "2", "--q", "2", "--method", "both", "--out", str(out)])
+                 "--p", "2", "--q", "2", "--out", str(out)])
     assert code == 0
     summary = read_summary(out)
     assert summary["converged"] is True
     assert summary["lambda_hat"] == pytest.approx(2 * np.pi ** 2, rel=0.02)
-    assert "lambda_hat_inverse" in summary and "lambda_hat_rayleigh" in summary
-    assert summary["rel_gap"] < 0.01
+    assert not {"method", "lambda_hat_inverse", "lambda_hat_rayleigh", "rel_gap"} & set(summary)
     assert summary["residual"] <= 1e-4
     assert summary["regularity"]["positive"] is True
     assert (out / "trace.csv").exists()
@@ -116,7 +115,7 @@ def test_large_q_keeps_exit_code_contract(tmp_path, capsys, q):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("flags", [[], ["--sweep-p", "50,100"], ["--method", "rayleigh"]])
+@pytest.mark.parametrize("flags", [[], ["--sweep-p", "50,100"]])
 def test_quotient_beyond_float_range_is_one_error_line(tmp_path, capsys, flags):
     # lambda is about h^{-p} with h = 0.01/17: past the float range at p = 100
     code = main(["--group", "euclidean2", "--box", "0,0.01,0,0.01", "--resolution", "16,16",
@@ -137,20 +136,6 @@ def test_trace_csv_columns(tmp_path):
     assert int(rows[1][0]) == 0
     mus = [float(r[1]) for r in rows[1:]]
     assert all(b <= a * (1 + 1e-7) for a, b in zip(mus, mus[1:]))
-
-
-def test_rayleigh_trace_csv_ends_at_lambda_hat(tmp_path):
-    out = tmp_path / "run"
-    main(["--group", "euclidean2", "--box", "0,1,0,1", "--resolution", "8,8",
-          "--p", "2", "--q", "2", "--method", "rayleigh", "--out", str(out)])
-    summary = read_summary(out)
-    with open(out / "trace.csv") as fh:
-        rows = list(csv.reader(fh))[1:]
-    assert len(rows) == summary["outer_iters"]
-    assert float(rows[-1][1]) == summary["lambda_hat"]
-    assert float(rows[-1][5]) == summary["residual"]
-    # one-value columns appear on the last row only
-    assert all(r[2] == "" and r[5] == "" for r in rows[:-1])
 
 
 def test_dump_field(tmp_path):
@@ -265,7 +250,7 @@ def test_config_file_with_flag_override(tmp_path):
     assert main(["--config", str(bad)]) == 1
 
 
-@pytest.mark.parametrize("key", ["eps_floor", "max_inner"])
+@pytest.mark.parametrize("key", ["eps_floor", "max_inner", "method"])
 def test_removed_setting_in_config_is_unknown_key(tmp_path, capsys, key):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({key: 1e-8}))
@@ -275,7 +260,7 @@ def test_removed_setting_in_config_is_unknown_key(tmp_path, capsys, key):
 
 
 @pytest.mark.parametrize("flags", [["--bogus", "1"], ["--p", "abc"], ["--eps-floor", "1e-8"],
-                                   ["--max-inner", "1"]])
+                                   ["--max-inner", "1"], ["--method", "rayleigh"]])
 def test_parse_error_is_one_error_line(tmp_path, capsys, flags):
     out = tmp_path / "run"
     code = main(["--group", "euclidean2", "--box", "0,1,0,1", "--resolution", "4,4",
@@ -295,14 +280,37 @@ def test_help_exits_zero(capsys):
     assert "--max-outer" in out and "--eps-floor" not in out and "--max-inner" not in out
 
 
-def test_sweep_rejects_method_both(tmp_path, capsys):
-    out = tmp_path / "sweep"
-    code = main(["--group", "euclidean2", "--box", "0,1,0,1", "--resolution", "4,4",
-                 "--sweep-p", "2,3", "--sweep-q", "2", "--method", "both", "--out", str(out)])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and len(err.splitlines()) == 1 and "both" in err
-    assert not out.exists()
+def read_artifacts(out_dir):
+    """Every file main wrote, with runtime_seconds taken out of summary.json."""
+    files = {f.name: f.read_bytes() for f in out_dir.iterdir()}
+    if "summary.json" in files:
+        summary = json.loads(files["summary.json"])
+        assert summary.pop("runtime_seconds") >= 0
+        files["summary.json"] = summary
+    return files
+
+
+@pytest.mark.parametrize("value", ["both", "inverse"])
+def test_deprecated_method_flag_is_one_warning_and_changes_nothing(tmp_path, capsys, value):
+    # the argv shape of the benchmark's cli-sweep run job, on a small grid
+    args = ["--group", "heisenberg1", "--box", "0,1,0,1,0,1", "--resolution", "5,5,5",
+            "--p", "3", "--q", "2", "--dump-field"]
+    assert main(args + ["--out", str(tmp_path / "plain")]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(args + ["--method", value, "--out", str(tmp_path / "flag")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: --method ") and "deprecated" in err[0]
+    assert read_artifacts(tmp_path / "flag") == read_artifacts(tmp_path / "plain")
+
+
+def test_sweep_method_both_is_one_warning(tmp_path, capsys):
+    args = ["--group", "euclidean2", "--box", "0,1,0,1", "--resolution", "4,4",
+            "--sweep-p", "2,3", "--sweep-q", "2"]
+    assert main(args + ["--out", str(tmp_path / "plain")]) == 0
+    assert main(args + ["--method", "both", "--out", str(tmp_path / "flag")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: --method both ")
+    assert read_artifacts(tmp_path / "flag") == read_artifacts(tmp_path / "plain")
 
 
 @pytest.mark.parametrize("flag", ["--oracle", "--dump-field"])

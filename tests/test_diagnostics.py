@@ -148,6 +148,23 @@ def test_each_level_is_measured_once(monkeypatch):
     assert [(c["k"], c["measure"]) for c in checks] == rep.level_measures
 
 
+@pytest.mark.parametrize("box", [[(0, 1)] * 3, [(-0.5, 0.5)] * 3], ids=["unit", "centred"])
+def test_report_sobolev_constant_matches_tight_solve(box):
+    # case I with q < p takes S from one extra (p, p) solve; the threshold it
+    # reports must be the one that a tightly converged (3, 3) eigenvalue gives
+    grid = se.build_grid("heisenberg1", box, (8, 8, 8))
+    r = se.inverse_iteration(se.SolverConfig(grid=grid, p=3.0, q=2.0))
+    tight = se.inverse_iteration(se.SolverConfig(grid=grid, p=3.0, q=3.0,
+                                                 tol_inner=1e-10, tol_outer=1e-10))
+    assert tight.converged
+    S = sobolev_constant_from_lambda(tight.lambda_hat, grid, 3.0, 3.0)
+    l1_norm = se.lq_norm(normalize(r.eigenfunction, 2.0), 1.0)
+    expected = linf_threshold(r.lambda_hat, S, l1_norm, 3.0, 2.0, 4)
+    rep = regularity_report(r.eigenfunction, r.lambda_hat, 3.0, 2.0)
+    assert rep.case_tag == "I" and expected.k > 1.0  # above the floor, so k moves with S
+    assert rep.k_threshold == pytest.approx(expected.k, rel=1e-8)
+
+
 def test_regularity_report_case2_alpha_positive():
     grid = se.build_grid("heisenberg1", [(0, 1), (0, 1), (0, 1)], (6, 6, 6))
     r = se.inverse_iteration(se.SolverConfig(grid=grid, p=2.0, q=3.0))

@@ -190,8 +190,7 @@ def test_inverse_iteration_custom_start(rng):
         se.inverse_iteration(cfg, w0="bump")
 
 
-@pytest.mark.parametrize("solver", [se.inverse_iteration, se.rayleigh_minimize])
-def test_invalid_start_iterate_is_rejected(solver):
+def test_invalid_start_iterate_is_rejected():
     grid = small_square(4)
     cfg = se.SolverConfig(grid=grid, p=2.0, q=2.0)
     nan_start, inf_start = np.ones(grid.n_nodes), np.ones(grid.n_nodes)
@@ -199,9 +198,9 @@ def test_invalid_start_iterate_is_rejected(solver):
     for start, message in [(nan_start, "finite"), (inf_start, "finite"),
                            (np.zeros(grid.n_nodes), "nonzero")]:
         with pytest.raises(ValueError, match=message):
-            solver(cfg, se.Field(grid, start))
+            se.inverse_iteration(cfg, se.Field(grid, start))
     with pytest.raises(ValueError, match="different grid"):
-        solver(cfg, se.Field.zeros(small_square(5)))
+        se.inverse_iteration(cfg, se.Field.zeros(small_square(5)))
 
 
 def test_inverse_iteration_max_outer_reports_unconverged():
@@ -233,35 +232,6 @@ def test_scalar_multiple_structure():
         assert se.rayleigh_quotient(t * u, 2.0, 2.0) == pytest.approx(quot, rel=1e-12)
         assert se.residual(t * u, lam, 2.0, 2.0) == pytest.approx(
             se.residual(u, lam, 2.0, 2.0), rel=1e-8, abs=1e-14)
-
-
-def test_rayleigh_minimize_square_anchor():
-    cfg = se.SolverConfig(grid=small_square(24), p=2.0, q=2.0)
-    ri = se.inverse_iteration(cfg)
-    rr = se.rayleigh_minimize(cfg)
-    assert rr.converged
-    assert rr.lambda_hat == pytest.approx(ri.lambda_hat, rel=0.01)
-    assert rr.lambda_hat == pytest.approx(TWO_PI_SQ, rel=0.01)
-
-
-def test_rayleigh_minimize_quotient_monotone():
-    cfg = se.SolverConfig(grid=small_square(), p=2.5, q=2.0)
-    r = se.rayleigh_minimize(cfg)
-    h = r.history
-    assert all(b.mu <= a.mu * (1 + 1e-14) for a, b in zip(h, h[1:]))
-    assert se.lq_norm(r.eigenfunction, 2.0) == pytest.approx(1.0, abs=1e-10)
-    assert r.lambda_hat == h[-1].mu
-    assert r.residual == h[-1].residual
-    assert r.outer_iters == len(h)
-    assert all(rec.unorm is None and rec.residual is None for rec in h[:-1])
-
-
-def test_rayleigh_minimize_heisenberg_agreement():
-    grid = se.build_grid("heisenberg1", [(0, 1), (0, 1), (0, 1)], (16, 16, 16))
-    cfg = se.SolverConfig(grid=grid, p=2.0, q=2.0)
-    ri = se.inverse_iteration(cfg)
-    rr = se.rayleigh_minimize(cfg)
-    assert abs(ri.lambda_hat - rr.lambda_hat) / ri.lambda_hat < 0.02
 
 
 def test_oracle_lower_bound_certificate():

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 import subeigen as se
 from subeigen.mesh import EnergyState
-from subeigen.operators import eigen_defect
 from conftest import chain_grid, random_field
 
 P_VALUES = (1.5, 2.0, 3.0, 4.0)
@@ -176,12 +175,16 @@ def test_residual_rejects_zero_field(unit_square):
         se.residual(se.Field.zeros(unit_square), 1.0, 2.0, 2.0)
 
 
-def test_eigen_defect_matches_definition(unit_square, rng):
+def test_residual_matches_definition(unit_square, rng):
+    # max_i |<A(u) - lam ||u||_q^{p-q} B(u), e_i>| / p_energy(u)^{(p-1)/p},
+    # built from the public operators one at a time
     u = random_field(unit_square, rng)
-    p, q, lam = 2.5, 2.0, 3.0
-    d = eigen_defect(u, lam, p, q)
-    expected = se.apply_A(u, p).values - lam * se.lq_norm(u, q) ** (p - q) * se.apply_B(u, q).values
-    assert np.allclose(d.values, expected)
+    for p, q, lam in ((2.5, 2.0, 3.0), (1.5, 3.0, 0.7)):
+        d = se.apply_A(u, p) - lam * se.lq_norm(u, q) ** (p - q) * se.apply_B(u, q)
+        worst = max(abs(se.pairing(d, se.Field(unit_square, e)))
+                    for e in np.eye(unit_square.n_nodes))
+        expected = worst / se.p_energy(u, p) ** ((p - 1.0) / p)
+        assert se.residual(u, lam, p, q) == pytest.approx(expected, rel=1e-12)
 
 
 def test_apply_A_is_energy_gradient(rng):

@@ -6,14 +6,14 @@ The subproblem behind one inverse-iteration step asks for the unique z with
 
 i.e. the minimizer of J(z) = (1/p) E_eps(z) - <f, z>, E_eps mesh.EnergyState's energy.
 solve_inner is the one entry point for every p.  At p = 2 the operator is
-the assembled linear SPD stiffness G^T G, the grid's banded DIA matrix, and
-a Jacobi preconditioned conjugate gradient runs on it, one banded product
-per iteration.  Otherwise one loop minimizes J
-at the single eps EPS = 1e-8, which keeps the flux weight
-a = (|grad z|^2 + eps^2)^{(p-2)/2} finite (p < 2) and nonzero (p > 2)
-where the gradient vanishes.  A cold start is the scaled p = 2 solution.
-Every step solves H d = -grad J from zero by the same Jacobi preconditioned
-conjugate gradient loop and backtracks on J from the full step (Armijo).
+the assembled linear SPD stiffness K = G^T G, the grid's banded DIA matrix,
+and a Jacobi preconditioned conjugate gradient (PCG) runs on it.  Otherwise
+one loop minimizes J at the single eps EPS = 1e-8, which keeps the flux
+weight a = (|grad z|^2 + eps^2)^{(p-2)/2} finite (p < 2) and nonzero
+(p > 2) where the gradient vanishes.  A cold start is the scaled p = 2
+solution, by the same PCG on K.  Every step assembles H as a banded matrix
+(mesh.EnergyState.hessian), solves H d = -grad J from zero by PCG with H's
+diagonal, and backtracks on J from the full step (Armijo).
 For p < 2, H is first G^T diag(a(z)) G, the flux weight frozen at z: this
 is a Kacanov (lagged-diffusivity) step, the Newton step of the frozen
 weight, and as s -> s^{p/2} is concave its quadratic majorizes J, so the
@@ -57,15 +57,13 @@ EPS = 1e-8
 MAX_ITERS = 100_000
 
 
-def _pcg(matvec, b: np.ndarray, Minv: np.ndarray, x: np.ndarray, tol: float,
+def _pcg(A, b: np.ndarray, Minv: np.ndarray, x: np.ndarray, tol: float,
          max_iters: int) -> tuple[np.ndarray, float, int]:
-    """Conjugate gradient for the SPD system matvec(x) = b, preconditioned
-    by the diagonal inverse Minv, from x (updated in place).  Stops when the
-    recursively updated residual r (r = b - matvec(x) at the start, then
-    r -= alpha * matvec(d) per iteration) has ||r|| <= tol; returns (x,
-    ||r||, iterations).  The work vectors are allocated once, so an
-    iteration allocates only what matvec returns."""
-    r = b - matvec(x) if x.any() else b.copy()
+    """Conjugate gradient for the SPD system A x = b, preconditioned by the
+    diagonal inverse Minv, from x (updated in place), until the recursively
+    updated residual r (b - A x, then r -= alpha A d) has ||r|| <= tol;
+    returns (x, ||r||, iterations).  An iteration allocates only A d."""
+    r = b - A @ x if x.any() else b.copy()
     z = Minv * r
     d = z.copy()
     step = np.empty_like(r)
@@ -74,7 +72,7 @@ def _pcg(matvec, b: np.ndarray, Minv: np.ndarray, x: np.ndarray, tol: float,
         rnorm = math.sqrt(np.dot(r, r))
         if rnorm <= tol:
             return x, rnorm, it
-        Kd = matvec(d)
+        Kd = A @ d
         alpha = rz / float(np.dot(d, Kd))
         x += np.multiply(d, alpha, out=step)
         r -= np.multiply(Kd, alpha, out=step)
@@ -91,20 +89,17 @@ def _minimize(grid: Grid, fvals: np.ndarray, z: np.ndarray | None, p: float, tol
     """Minimize J at EPS by the steps of the module docstring; returns (z,
     grad_norm, steps) once grad_norm <= tol_abs or after max_iters steps.
 
-    z = None starts cold, which is one step.  Every later step, Kacanov or
-    Newton, is one PCG solve and one Armijo backtracking.  A step whose
-    predicted decrease -grad.d is below J's rounding noise is taken whole if
-    it lowers ||grad J||; if it does not, or backtracking shrinks the
-    predicted decrease to that noise, ConvergenceError ("line search
-    stalled") is raised.  J at each iterate (volume factor excluded) goes to
-    ``history`` when given.
+    z = None starts cold, which is one step.  A step whose predicted
+    decrease -grad.d is below J's rounding noise is taken whole if it
+    lowers ||grad J||; if it does not, or backtracking shrinks the predicted
+    decrease to that noise, ConvergenceError ("line search stalled") is
+    raised.  J at each iterate (volume factor excluded) goes to ``history``
+    when given.
     """
     fnorm, cold = float(np.linalg.norm(fvals)), z is None
-    if cold:  # G^T G z = f to 1e-1, scaled to the minimizer of J_0 along its ray
-        flat = EnergyState(grid, np.zeros(grid.n_nodes), 2.0, 0.0)  # a = 1
-        z, _, _ = _pcg(lambda v: flat.hessian_vector(v, frozen=True), fvals,
-                       1.0 / flat.hessian_diagonal(frozen=True), np.zeros(grid.n_nodes),
-                       0.1 * fnorm, grid.n_nodes)
+    if cold:  # K z = f to 1e-1, scaled to the minimizer of J_0 along its ray
+        z, _, _ = _pcg(grid.stiffness_p2, fvals, 1.0 / grid.stiffness_diagonal,
+                       np.zeros(grid.n_nodes), 0.1 * fnorm, grid.n_nodes)
         z *= (np.dot(fvals, z) / EnergyState(grid, z, p, 0.0).energy()) ** (1.0 / (p - 1.0))
     state = EnergyState(grid, z, p, EPS)
     energy, fz = state.energy() / p, float(np.dot(fvals, z))
@@ -118,9 +113,10 @@ def _minimize(grid: Grid, fvals: np.ndarray, z: np.ndarray | None, p: float, tol
             return z, gnorm, it
         kacanov = kacanov and gnorm > 1e-2 * fnorm  # once Newton, always Newton
         forcing = 0.5 if kacanov else min(0.5, np.sqrt(gnorm / fnorm))
-        d, _, _ = _pcg(lambda v: state.hessian_vector(v, frozen=kacanov), -grad,
-                       1.0 / state.hessian_diagonal(frozen=kacanov), np.zeros_like(z),
+        hessian = state.hessian(frozen=kacanov)
+        d, _, _ = _pcg(hessian, -grad, 1.0 / hessian.diagonal(), np.zeros_like(z),
                        forcing * gnorm, grid.n_nodes)
+        del hessian  # freed before the next step assembles its own
         decrement = -float(np.dot(grad, d))
         noise = 64 * np.finfo(float).eps * (abs(energy) + abs(fz))
         step, stalled = 1.0, False
@@ -145,12 +141,13 @@ def solve_inner(f: Field, p: float, tol: float, x0: Field | None = None,
                 history: list | None = None, stats: dict | None = None,
                 loose: tuple[float, Callable[[Field], bool]] | None = None) -> Field:
     """Minimize J of the module docstring at eps = EPS for p > 1 and tol
-    finite and positive, until ||A_eps(z) - f|| <= tol * ||f||: by CG on
-    G^T G at p = 2, which tests its recursively updated residual in place
-    of f - G^T G z, otherwise by the steps of the module docstring, from x0
-    or else from 0 (p = 2) or the cold start.  f = 0 returns 0.  ``history``
-    gets J at each p != 2 iterate.  MAX_ITERS CG iterations or steps in one
-    decade (below), or a line-search stall, raise ConvergenceError.
+    finite and positive, until ||A_eps(z) - f|| <= tol * ||f||: by CG on K
+    at p = 2, which tests its recursively updated residual in place of
+    f - K z, otherwise by the steps of the module docstring, from x0 (a
+    ValueError unless finite and on f's grid) or else from 0 (p = 2) or the
+    cold start.  f = 0 returns 0.  ``history`` gets J at each p != 2
+    iterate.  MAX_ITERS CG iterations or steps in one decade (below), a NaN
+    residual or a line-search stall raise ConvergenceError.
 
     ``loose = (loose_tol, accept)`` makes the solve tighten one decade at a
     time: it stops first at loose_tol and returns that z if accept(z)
@@ -165,6 +162,10 @@ def solve_inner(f: Field, p: float, tol: float, x0: Field | None = None,
     if not (math.isfinite(tol) and tol > 0 and math.isfinite(stage_tol)):
         raise ValueError(f"tol must be finite and positive and loose_tol finite, "
                          f"got {tol} and {stage_tol}")
+    if x0 is not None:
+        f._check(x0)
+        if not np.isfinite(x0.values).all():
+            raise ValueError("x0 must be finite")
     grid, fvals = f.grid, f.values
     fnorm = float(np.linalg.norm(fvals))
     # for f = 0 the zero start is the solution; p = 2 also starts cold from 0
@@ -175,14 +176,13 @@ def solve_inner(f: Field, p: float, tol: float, x0: Field | None = None,
         final = stage_tol <= tol * (1.0 + 1e-9)  # a decade on tol up to rounding is final
         stage_tol = tol if final else stage_tol
         if p == 2.0:
-            z, gnorm, iters = _pcg(lambda v: grid.stiffness_p2 @ v, fvals,
-                                   1.0 / grid.stiffness_diagonal, z, stage_tol * fnorm,
-                                   MAX_ITERS)
+            z, gnorm, iters = _pcg(grid.stiffness_p2, fvals, 1.0 / grid.stiffness_diagonal, z,
+                                   stage_tol * fnorm, MAX_ITERS)
         else:
             z, gnorm, iters = _minimize(grid, fvals, z, p, stage_tol * fnorm, MAX_ITERS,
                                         history)
         total += iters
-        if gnorm > stage_tol * fnorm:
+        if not gnorm <= stage_tol * fnorm:  # also a NaN residual
             raise ConvergenceError(
                 f"inner solve missed tolerance {stage_tol:g} ({MAX_ITERS} iterations "
                 f"exhausted; relative residual {gnorm / fnorm:.3e})", Field(grid, z), gnorm)

@@ -15,10 +15,10 @@ rule: per component, the weight with which each site reads the node at each
 fixed lattice offset.  The gradient matrix is read off it in one pass into
 canonical CSR (sorted column indices, no duplicates, no stored zeros), so
 its in-row order, and with it the rounding of every product, is fixed here.
-The p = 2 stiffness G^T G is built from the same stencil as a banded DIA
-matrix, and the Hessian diagonal is summed over it, both in the summation
-order of the sparse products they replace, so their values are those
-products' to the bit.
+Grid.stiffness builds G^T D G from the same stencil as a banded DIA matrix
+for a per-site block D: the p = 2 stiffness K at D = I, equal to the CSR
+product G^T G to the bit, and EnergyState's Kacanov operator (D = a I) and
+Newton Hessian (D = a I + b g g^T).
 
 Field is the one node-value type, and horizontal_gradient(u) is G u as an
 (n1, n_sites) array.  p_energy is exact; its kernel EnergyState also takes
@@ -176,32 +176,52 @@ class Grid:
         return sp.csr_matrix((np.concatenate(vals), np.concatenate(cols), indptr),
                              shape=(self.group.horizontal_dim * self.n_sites, self.n_nodes))
 
-    @cached_property
-    def stiffness_p2(self) -> sp.dia_matrix:
-        """G^T G, the p = 2 operator on node values (volume weight excluded),
-        as a banded DIA matrix built from ``gradient_stencil``.
+    def stiffness(self, a: np.ndarray | None = None, b: np.ndarray | None = None,
+                  g: np.ndarray | None = None) -> sp.dia_matrix:
+        """G^T D G on node values (volume weight excluded) as a banded DIA
+        matrix built from ``gradient_stencil``, for the per-site block
+        D = a I + b g g^T: D = I when a is None, no b term when b is None.
 
-        Each component adds, for each pair of its offsets (o, o'), the
-        products of their weights into the diagonal of the node offset
-        o' - o.  With o descending every entry sums its sites in ascending
+        Each nonzero block D_kl adds, for each pair of offsets (o, o') of
+        components k and l, the site products c_k,o D_kl c_l,o' into the
+        diagonal of the node offset o' - o; the b term adds two diagonals.
+        At D = I, with o descending every entry sums its sites in ascending
         order, and lattice offsets that meet on one node offset (an axis
         with 1 or 2 nodes) have disjoint supports, so K, and K @ v with its
         ascending diagonals, equal those of the CSR product G^T G bit for bit.
         """
         strides = [int(np.prod(self.resolution[j + 1:])) for j in range(len(self.resolution))]
-        pairs = [(component, o, o2) for component in self.gradient_stencil
-                 for o in component for o2 in component]
+        stencil, n1 = self.gradient_stencil, self.group.horizontal_dim
+        blocks = [(k, l) for k in range(n1) for l in range(n1) if k == l or b is not None]
 
         def node_offset(o, o2):
-            return sum((b - a) * st for a, b, st in zip(o, o2, strides))
+            return sum((y - x) * st for x, y, st in zip(o, o2, strides))
 
-        offsets = sorted({node_offset(o, o2) for _, o, o2 in pairs})
+        offsets = sorted({node_offset(o, o2) for k, l in blocks
+                          for o in stencil[k] for o2 in stencil[l]})
         row = {k: i for i, k in enumerate(offsets)}
         data = np.zeros((len(offsets), self.n_nodes))
-        for component, o, o2 in pairs:  # DIA stores column j = node s + o2 at data[:, j]
-            at = self._sites_reading(o2)
-            data[row[node_offset(o, o2)]] += (component[o][at] * component[o2][at]).ravel()
+        diagonals = data.reshape(len(offsets), *self.resolution)
+        block, weighted, term = (np.empty(self.n_sites), np.empty(self.resolution),
+                                 np.empty(self.resolution))
+        for k, l in blocks:
+            d_kl = a
+            if b is not None:  # D_kl = b g_k g_l + a delta_kl, formed one block at a time
+                d_kl = np.multiply(np.multiply(g[k], g[l], out=block), b, out=block)
+                if k == l:
+                    d_kl += a
+            for o2, c2 in stencil[l].items():  # DIA stores column j = node s + o2 at data[:, j]
+                at = self._sites_reading(o2)
+                right = c2[at] if d_kl is None else \
+                    np.multiply(d_kl.reshape(self.site_shape)[at], c2[at], out=weighted)
+                for o, c in stencil[k].items():
+                    diagonals[row[node_offset(o, o2)]] += np.multiply(c[at], right, out=term)
         return sp.dia_matrix((data, offsets), shape=(self.n_nodes, self.n_nodes))
+
+    @cached_property
+    def stiffness_p2(self) -> sp.dia_matrix:
+        """G^T G, the p = 2 operator: ``stiffness`` at D = I."""
+        return self.stiffness()
 
     @cached_property
     def gradient_transpose(self) -> sp.csr_matrix:
@@ -297,18 +317,15 @@ class EnergyState:
     """The regularized p-energy kernel at one node-value vector.
 
     Computes the site gradients g = G z once and s = |g|^2 + eps^2 from
-    them.  ``energy()`` is sum s^{p/2}, ``flux_divergence()`` is
-    G^T (a g), the gradient of energy()/p, and its Hessian is G^T D G,
-    where each site contributes the n1 x n1 block D = a I + b g g^T with
-    a = s^{(p-2)/2} and b = (p-2) s^{(p-4)/2}.  The blocks are formed once,
-    on first use, for ``hessian_vector(v)`` (G^T D G v) and the exact
-    ``hessian_diagonal()``; with ``frozen=True`` both drop the b term and
-    give G^T diag(a) G, the operator of the flux weight frozen at z.  G^T
-    is the grid's cached ``gradient_transpose``.  None of them includes the
-    cell volume.  Raises unless p > 1 and eps >= 0.
+    them.  ``energy()`` is sum s^{p/2}, ``flux_divergence()`` is G^T (a g)
+    (G^T the grid's cached ``gradient_transpose``), the gradient of
+    energy()/p, and ``hessian()`` its Hessian G^T D G, ``Grid.stiffness`` at
+    D = a I + b g g^T with a = s^{(p-2)/2} and b = (p-2) s^{(p-4)/2}, or at
+    D = a I with ``frozen=True``: the operator of the flux weight frozen at
+    z.  None includes the cell volume.  Raises unless p > 1 and eps >= 0.
     """
 
-    __slots__ = ("grid", "p", "g", "s", "_a", "_blocks")
+    __slots__ = ("grid", "p", "g", "s", "_a")
 
     def __init__(self, grid: Grid, z: np.ndarray, p: float, eps: float):
         if not p > 1:
@@ -319,7 +336,7 @@ class EnergyState:
         self.p = p
         self.g = (grid.gradient_matrix @ z).reshape(grid.group.horizontal_dim, grid.n_sites)
         self.s = np.sum(self.g * self.g, axis=0) + eps * eps
-        self._a = self._blocks = None
+        self._a = None
 
     def _flux_weight(self) -> np.ndarray:
         """a per site, 0 where s = 0: a g -> 0 as g -> 0 for every p > 1."""
@@ -330,47 +347,20 @@ class EnergyState:
             self._a = s ** ((self.p - 2.0) / 2.0)
         return self._a
 
-    def _hessian_blocks(self) -> np.ndarray:
-        """D_kl = a delta_kl + b g_k g_l as an (n1, n1, n_sites) array, with
-        b = 0 where s = 0 (the Hessian there is only needed for p >= 2)."""
-        if self._blocks is None:
-            a, s, g = self._flux_weight(), self.s, self.g
-            b = (self.p - 2.0) * np.divide(a, s, out=np.zeros_like(a), where=s > 0.0)
-            self._blocks = b * g[:, None] * g[None] + a * np.eye(len(g))[:, :, None]
-        return self._blocks
-
     def energy(self) -> float:
         return float(np.sum(self.s ** (self.p / 2.0)))
 
     def flux_divergence(self) -> np.ndarray:
         return self.grid.gradient_transpose @ (self.g * self._flux_weight()).ravel()
 
-    def hessian_vector(self, v: np.ndarray, frozen: bool = False) -> np.ndarray:
-        h = (self.grid.gradient_matrix @ v).reshape(self.g.shape)
-        w = (self._flux_weight() * h if frozen
-             else np.einsum("klm,lm->km", self._hessian_blocks(), h))
-        return self.grid.gradient_transpose @ w.ravel()
-
-    def hessian_diagonal(self, frozen: bool = False) -> np.ndarray:
-        """Node n sums (c_k,o * c_l,o) * D_kl at the site n - o over the
-        ``gradient_stencil`` offsets o that components k and l share: (k, l)
-        ascending, then o descending, so every node sums its sites in
-        ascending order.  The sum runs on the flat site lattice, where node
-        n sits at its own lattice index and the site n - o one fixed step
-        before it."""
-        grid, n1 = self.grid, len(self.g)
-        blocks = (np.eye(n1)[:, :, None] * self._flux_weight() if frozen
-                  else self._hessian_blocks())
-        total, term = np.zeros(grid.n_sites), np.empty(grid.n_sites)
-        for k, l in np.ndindex(n1, n1):
-            ck, cl = grid.gradient_stencil[k], grid.gradient_stencil[l]
-            for o in filter(cl.__contains__, ck):
-                step = int(np.ravel_multi_index(o, grid.site_shape))
-                np.multiply(ck[o].ravel(), cl[o].ravel(), out=term)
-                np.multiply(term, blocks[k, l], out=term)
-                total[step:] += term[:grid.n_sites - step]
-        at_nodes = grid._sites_reading((0,) * len(grid.site_shape))
-        return total.reshape(grid.site_shape)[at_nodes].ravel()
+    def hessian(self, frozen: bool = False) -> sp.dia_matrix:
+        a, s = self._flux_weight(), self.s
+        if frozen:
+            return self.grid.stiffness(a)
+        # b = 0 where s = 0: the Hessian there is only needed for p >= 2
+        b = np.divide(a, s, out=np.zeros_like(a), where=s > 0.0)
+        b *= self.p - 2.0
+        return self.grid.stiffness(a, b, self.g)
 
 
 def p_energy(u: Field, p: float) -> float:

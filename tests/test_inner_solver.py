@@ -109,7 +109,7 @@ def test_pcg_work_vectors_change_no_bit(seed):
     b, Minv = rng.standard_normal(n), 1.0 / np.diag(K)
     for x0 in (np.zeros(n), rng.standard_normal(n)):
         for tol, max_iters in ((1e-10 * np.linalg.norm(b), 10 * n), (0.0, 3)):
-            x, res, its = _pcg(lambda v: K @ v, b, Minv, x0.copy(), tol, max_iters)
+            x, res, its = _pcg(K, b, Minv, x0.copy(), tol, max_iters)
             x_ref, res_ref, its_ref = allocating_pcg(lambda v: K @ v, b, Minv, x0.copy(), tol,
                                                      max_iters)
             assert x.tobytes() == x_ref.tobytes()
@@ -167,15 +167,15 @@ def test_unreachable_tolerance_stalls_out(rng):
 
 
 def spy_steps(monkeypatch) -> list:
-    """Record the ``frozen`` flag of every EnergyState.hessian_diagonal call:
-    one per step, True for the cold start and Kacanov steps, False for Newton."""
-    real, calls = EnergyState.hessian_diagonal, []
+    """Record the ``frozen`` flag of every EnergyState.hessian call: one per
+    step after the cold start, True for Kacanov steps, False for Newton."""
+    real, calls = EnergyState.hessian, []
 
-    def diagonal(self, frozen=False):
+    def hessian(self, frozen=False):
         calls.append(frozen)
         return real(self, frozen)
 
-    monkeypatch.setattr(EnergyState, "hessian_diagonal", diagonal)
+    monkeypatch.setattr(EnergyState, "hessian", hessian)
     return calls
 
 
@@ -211,14 +211,14 @@ def test_rough_warm_start_below_p2(monkeypatch, p):
 
 @pytest.mark.parametrize("p", [1.2, 1.5])
 def test_overlong_kacanov_steps_pass_the_armijo_test(monkeypatch, p):
-    # a frozen operator returning a quarter of its product makes every Kacanov
-    # step about four times too long; the one Armijo test still lowers J
-    real = EnergyState.hessian_vector
+    # a quarter of the frozen operator makes every Kacanov step about four
+    # times too long; the one Armijo test still lowers J
+    real = EnergyState.hessian
 
-    def quarter(self, v, frozen=False):
-        return 0.25 * real(self, v, frozen) if frozen else real(self, v, frozen)
+    def quarter(self, frozen=False):
+        return 0.25 * real(self, frozen) if frozen else real(self, frozen)
 
-    monkeypatch.setattr(EnergyState, "hessian_vector", quarter)
+    monkeypatch.setattr(EnergyState, "hessian", quarter)
     monkeypatch.setattr(inner_solver, "MAX_ITERS", 200)
     grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (6, 6))
     f = se.Field(grid, np.ones(grid.n_nodes))
@@ -301,3 +301,25 @@ def test_loose_tol_at_or_below_tol_is_the_plain_solve(rng, p, loose_tol):
     assert asked == []
     assert z.values.tobytes() == expected.values.tobytes()
     assert stats == plain and stats["loose"] is False
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("case, error", [("x0 on another grid", ValueError),
+                                         ("NaN in x0", ValueError),
+                                         ("inf in x0", ValueError),
+                                         ("NaN in f", ConvergenceError)])
+def test_bad_start_or_nan_residual_raises(monkeypatch, p, case, error):
+    # MAX_ITERS keeps a solve that misses the fault short; a NaN residual
+    # fails the decade test instead of passing it
+    monkeypatch.setattr(inner_solver, "MAX_ITERS", 50)
+    grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (8, 8))
+    other = se.build_grid("euclidean2", [(0, 2), (0, 1)], (8, 8))  # same node count
+    fvals, x0 = np.ones(grid.n_nodes), se.Field(grid, np.ones(grid.n_nodes))
+    if case == "x0 on another grid":
+        x0 = se.Field(other, x0.values)
+    elif case == "NaN in f":
+        fvals[5], x0 = np.nan, None
+    else:
+        x0.values[5] = np.nan if case == "NaN in x0" else np.inf
+    with pytest.raises(error):
+        solve_inner(se.Field(grid, fvals), p, 1e-8, x0=x0)

@@ -198,35 +198,75 @@ def test_stencil_operators_equal_the_triplet_build_bit_for_bit(axes, seed):
         assert np.array_equal(K @ v, ref_K @ v)
 
 
+def hessian_blocks(state):
+    """The per-site blocks D = a I + b g g^T of the Hessian, b dropped when frozen."""
+    p, n1 = state.p, len(state.g)
+    a, b = state.s ** ((p - 2) / 2), (p - 2) * state.s ** ((p - 4) / 2)
+    return {frozen: [[a * (k == l) + (not frozen) * b * state.g[k] * state.g[l]
+                      for l in range(n1)] for k in range(n1)] for frozen in (True, False)}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(axes=grid_axes, seed=st.integers(0, 2 ** 32 - 1))
+@example(axes=[(-1.0, 2.0, 1), (-1.0, 2.0, 2), (-1.0, 2.0, 1)], seed=0)
+@example(axes=[(-1.0, 2.0, 2), (-1.0, 2.0, 1)], seed=0)
+def test_stencil_hessian_diagonal_equals_the_product_formula(axes, seed):
+    # the diagonal of G^T D G as entrywise products G_k * G_l of the component
+    # blocks, stacked in (k, l) order, transposed onto the blocks D_kl
+    grid = axes_grid(axes)
+    G, m, n1 = triplet_gradient(grid), grid.n_sites, grid.group.horizontal_dim
+    parts = [G[k * m:(k + 1) * m] for k in range(n1)]
+    products = sp.csr_matrix(sp.vstack([bk.multiply(bl) for bk in parts for bl in parts]))
+    z = np.random.default_rng(seed).standard_normal(grid.n_nodes)
+    flat = EnergyState(grid, z, 2.0, 0.0).hessian(frozen=True)
+    assert np.array_equal(flat.diagonal(), products.T @ np.repeat(np.eye(n1).ravel(), m))
+    for p in (1.5, 3.0):
+        state = EnergyState(grid, z, p, 1e-8)
+        for frozen, blocks in hessian_blocks(state).items():
+            exact = products.T @ np.concatenate([d for row in blocks for d in row])
+            assert np.abs(state.hessian(frozen).diagonal() - exact).max() \
+                <= 1e-12 * np.abs(exact).max()
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(axes=grid_axes, seed=st.integers(0, 2 ** 32 - 1))
 @example(axes=[(-1.0, 2.0, 1), (-1.0, 2.0, 2), (-1.0, 2.0, 1)], seed=0)
 @example(axes=[(-1.0, 2.0, 2), (-1.0, 2.0, 1)], seed=0)
-def test_hessian_is_the_banded_product_and_the_flux_derivative(axes, seed):
-    # G^T D G from the per-site blocks D = a I + b g g^T as a sparse product,
-    # b dropped when frozen; eps = 1e-2 keeps the central difference's
-    # truncation error (worst seen 2e-7 relative at h = 1e-6) far below its bound
+def test_hessian_diagonal_matches_assembled_hessian(axes, seed):
+    # G^T D G assembled from the per-site blocks as a sparse product: the
+    # whole banded Hessian, its diagonal included, and its band layout
     grid = axes_grid(axes)
-    G, n1, K = grid.gradient_matrix, grid.group.horizontal_dim, grid.stiffness_p2
-    rng = np.random.default_rng(seed)
-    z, v = rng.standard_normal((2, grid.n_nodes))
-    eps, h = 1e-2, 1e-6
+    G, K = grid.gradient_matrix, grid.stiffness_p2
+    z = np.random.default_rng(seed).standard_normal(grid.n_nodes)
     flat = EnergyState(grid, z, 2.0, 0.0).hessian(frozen=True)
     assert np.array_equal(flat.offsets, K.offsets) and np.array_equal(flat.data, K.data)
     for p in (1.5, 3.0):
-        state = EnergyState(grid, z, p, eps)
-        a, b, g = state.s ** ((p - 2) / 2), (p - 2) * state.s ** ((p - 4) / 2), state.g
-        for frozen in (True, False):
-            D = sp.bmat([[sp.diags(a * (k == l) + (not frozen) * b * g[k] * g[l])
-                          for l in range(n1)] for k in range(n1)])
-            exact, H = G.T @ D @ G, state.hessian(frozen)
+        state = EnergyState(grid, z, p, 1e-3)
+        for frozen, blocks in hessian_blocks(state).items():
+            exact, H = G.T @ sp.bmat([[sp.diags(d) for d in row] for row in blocks]) @ G, \
+                state.hessian(frozen)
             assert H.format == "dia"
+            assert np.allclose(H.diagonal(), exact.diagonal(), rtol=1e-12, atol=0)
             assert abs(H.tocsr() - exact).max() <= 1e-12 * abs(exact).max()
             assert not frozen or np.array_equal(H.offsets, K.offsets)
             if min(grid.resolution) >= 3:  # no two lattice offsets meet on one node offset
                 # K's 5 (E2) or 11 (H1) diagonals, and the b term's mixed pair
                 assert len(H.offsets) == (5 if len(axes) == 2 else 11) + 2 * (not frozen)
-        Hv = state.hessian() @ v
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(axes=grid_axes, seed=st.integers(0, 2 ** 32 - 1))
+@example(axes=[(-1.0, 2.0, 1), (-1.0, 2.0, 2), (-1.0, 2.0, 1)], seed=0)
+@example(axes=[(-1.0, 2.0, 2), (-1.0, 2.0, 1)], seed=0)
+def test_hessian_vector_is_flux_derivative(axes, seed):
+    # central difference of the flux G^T(a g) along v; eps = 1e-2 keeps the
+    # truncation error (worst seen 2e-7 relative at h = 1e-6) far below the bound
+    grid = axes_grid(axes)
+    rng = np.random.default_rng(seed)
+    z, v = rng.standard_normal((2, grid.n_nodes))
+    eps, h = 1e-2, 1e-6
+    for p in (1.5, 3.0):
+        Hv = EnergyState(grid, z, p, eps).hessian() @ v
         fd = (EnergyState(grid, z + h * v, p, eps).flux_divergence()
               - EnergyState(grid, z - h * v, p, eps).flux_divergence()) / (2 * h)
         assert np.max(np.abs(Hv - fd)) <= 1e-5 * np.max(np.abs(Hv))

@@ -140,8 +140,7 @@ def _level_grid(u: Field, k_start: float) -> list[tuple[float, float]]:
     return levels
 
 
-def decay_inequality_checks(u: Field, lam: float, S: float, p: float, q: float,
-                            nu: int) -> list[dict]:
+def decay_inequality_checks(u: Field, lam: float, S: float, p: float, q: float) -> list[dict]:
     """Evaluate the superlevel decay bound at each tested level.
 
     For the normalized eigenfunction the excess mass above level k must obey
@@ -149,10 +148,12 @@ def decay_inequality_checks(u: Field, lam: float, S: float, p: float, q: float,
         int_{u>k} (u - k) dV <= (lam S 2^p)^{1/(p-1)} k |{u>k}|^{1 + p/(nu(p-1))}
 
     in case I (q <= p), and the analogue with exponent 1 + alpha/(q-1) and
-    constant (lam S 2^q)^{1/(q-1)} in case II.  Levels follow the geometric
+    constant (lam S 2^q)^{1/(q-1)} in case II; nu is the homogeneous
+    dimension of u's group, read from u's grid.  Levels follow the geometric
     grid starting at the case threshold.  Returns one dict per level with
     keys k, measure, lhs, rhs, ok.
     """
+    nu = u.grid.group.homogeneous_dim
     info = linf_threshold(lam, S, lq_norm(u, 1.0), p, q, nu)
     vol = u.grid.cell_volume
     if info.case_tag == "I":

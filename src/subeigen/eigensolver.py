@@ -237,8 +237,8 @@ def inverse_iteration(cfg: SolverConfig, w0: Field | str = "default") -> EigenRe
     eigenfunction, residual and lambda_hat = mu_n belong to g_n of the last
     completed step.  An inner solve that raises ConvergenceError also stops
     the iteration with converged = False, returning the last completed step;
-    if the very first inner solve fails, the error propagates.  A zero inner
-    solution signals a solver defect and raises RuntimeError.
+    if the very first inner solve fails, the error propagates.  A zero or
+    non-finite inner solution signals a solver defect and raises RuntimeError.
     """
     p, q = cfg.p, cfg.q
     w, R_w = _start_iterate(cfg.grid, p, q, w0)

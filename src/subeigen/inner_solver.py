@@ -85,9 +85,9 @@ def _pcg(A, b: np.ndarray, Minv: np.ndarray, x: np.ndarray, tol: float,
 
 
 def _minimize(grid: Grid, fvals: np.ndarray, z: np.ndarray | None, p: float, tol_abs: float,
-              max_iters: int, history: list | None) -> tuple[np.ndarray, float, int]:
+              history: list | None) -> tuple[np.ndarray, float, int]:
     """Minimize J at EPS by the steps of the module docstring; returns (z,
-    grad_norm, steps) once grad_norm <= tol_abs or after max_iters steps.
+    grad_norm, steps) once grad_norm <= tol_abs or after MAX_ITERS steps.
 
     z = None starts cold, which is one step.  A step whose predicted
     decrease -grad.d is below J's rounding noise is taken whole if it
@@ -105,11 +105,11 @@ def _minimize(grid: Grid, fvals: np.ndarray, z: np.ndarray | None, p: float, tol
     energy, fz = state.energy() / p, float(np.dot(fvals, z))
     grad = state.flux_divergence() - fvals
     kacanov = p < 2.0
-    for it in range(int(cold), max_iters + 1):
+    for it in range(int(cold), MAX_ITERS + 1):
         if history is not None:
             history.append(energy - fz)
         gnorm = float(np.linalg.norm(grad))
-        if gnorm <= tol_abs or it == max_iters:
+        if gnorm <= tol_abs or it == MAX_ITERS:
             return z, gnorm, it
         kacanov = kacanov and gnorm > 1e-2 * fnorm  # once Newton, always Newton
         forcing = 0.5 if kacanov else min(0.5, np.sqrt(gnorm / fnorm))
@@ -145,9 +145,10 @@ def solve_inner(f: Field, p: float, tol: float, x0: Field | None = None,
     at p = 2, which tests its recursively updated residual in place of
     f - K z, otherwise by the steps of the module docstring, from x0 (a
     ValueError unless finite and on f's grid) or else from 0 (p = 2) or the
-    cold start.  f = 0 returns 0.  ``history`` gets J at each p != 2
-    iterate.  MAX_ITERS CG iterations or steps in one decade (below), a NaN
-    residual or a line-search stall raise ConvergenceError.
+    cold start.  A non-finite f is a ValueError; f = 0 returns 0.
+    ``history`` gets J at each p != 2 iterate.  MAX_ITERS CG iterations or
+    steps in one decade (below), a NaN residual or a line-search stall raise
+    ConvergenceError.
 
     ``loose = (loose_tol, accept)`` makes the solve tighten one decade at a
     time: it stops first at loose_tol and returns that z if accept(z)
@@ -162,11 +163,13 @@ def solve_inner(f: Field, p: float, tol: float, x0: Field | None = None,
     if not (math.isfinite(tol) and tol > 0 and math.isfinite(stage_tol)):
         raise ValueError(f"tol must be finite and positive and loose_tol finite, "
                          f"got {tol} and {stage_tol}")
+    grid, fvals = f.grid, f.values
+    if not np.isfinite(fvals).all():
+        raise ValueError("f must be finite")
     if x0 is not None:
         f._check(x0)
         if not np.isfinite(x0.values).all():
             raise ValueError("x0 must be finite")
-    grid, fvals = f.grid, f.values
     fnorm = float(np.linalg.norm(fvals))
     # for f = 0 the zero start is the solution; p = 2 also starts cold from 0
     z = x0.values.copy() if x0 is not None and fnorm > 0.0 else \
@@ -179,8 +182,7 @@ def solve_inner(f: Field, p: float, tol: float, x0: Field | None = None,
             z, gnorm, iters = _pcg(grid.stiffness_p2, fvals, 1.0 / grid.stiffness_diagonal, z,
                                    stage_tol * fnorm, MAX_ITERS)
         else:
-            z, gnorm, iters = _minimize(grid, fvals, z, p, stage_tol * fnorm, MAX_ITERS,
-                                        history)
+            z, gnorm, iters = _minimize(grid, fvals, z, p, stage_tol * fnorm, history)
         total += iters
         if not gnorm <= stage_tol * fnorm:  # also a NaN residual
             raise ConvergenceError(

@@ -1,13 +1,15 @@
 """Independent ground truth for tiny grids (at most 25 interior nodes).
 
-Two routes that share no code with the iterative solvers:
+``brute_force_lambda`` takes one of two routes, neither sharing code with
+the iterative solvers:
 
 * ``dense_eig`` (p = q = 2): assemble the dense stiffness matrix and take
   the smallest symmetric eigenvalue -- exact up to LAPACK roundoff.
-* ``multistart`` (any p, q > 1): derivative-free minimization of the
-  Rayleigh quotient by coordinate-wise quadratic-fit line searches from
-  many random unit-sphere starts, merged by minimum.  All restarts advance
-  in lockstep as rows of one array, so the sweeps vectorize.
+* ``multistart`` (any other p, q > 1): derivative-free minimization of the
+  Rayleigh quotient by coordinate-wise quadratic-fit line searches from one
+  positive start and ``RESTARTS`` random unit-sphere starts, merged by
+  minimum.  All starts advance in lockstep as rows of one array, so the
+  sweeps vectorize.
 
 Node counts are capped so the multistart search stays trustworthy.
 """
@@ -25,6 +27,9 @@ from .mesh import Field, Grid
 __all__ = ["OracleResult", "brute_force_lambda", "multistart_minimize"]
 
 NODE_CAP = 25
+
+# Random starts of the multistart route, beside its one positive start.
+RESTARTS = 64
 
 
 @dataclass
@@ -51,14 +56,15 @@ def _quotient_batch(grid: Grid, p: float, q: float):
     return quot
 
 
-def multistart_minimize(objective, starts: np.ndarray, max_sweeps: int = 500,
-                        rel_tol: float = 1e-13, patience: int = 5) -> tuple[np.ndarray, np.ndarray, int]:
+def multistart_minimize(objective, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Coordinate-wise quadratic-fit descent on each row of ``starts``.
 
     ``objective`` maps a (restarts, n) array to (restarts,) values.  Per
     coordinate the objective is probed at +/- d, a parabola is fitted, and
     the best of {vertex, probes, stay} is kept; probe radii adapt per row.
-    Returns (points, values, sweeps_run).
+    Stops after 500 sweeps, or once every row has gone 5 sweeps without a
+    relative improvement above 1e-13.
+    Returns (points, values).
     """
     X = np.array(starts, dtype=float)
     R, n = X.shape
@@ -66,9 +72,7 @@ def multistart_minimize(objective, starts: np.ndarray, max_sweeps: int = 500,
     vals = objective(X)
     d = 0.3 * np.maximum(np.max(np.abs(X), axis=1), 1e-12)
     stall = np.zeros(R, dtype=int)
-    sweeps = 0
-    for sweep in range(max_sweeps):
-        sweeps = sweep + 1
+    for _ in range(500):
         improved = np.zeros(R, dtype=bool)
         for i in range(n):
             base = X[:, i].copy()
@@ -89,59 +93,50 @@ def multistart_minimize(objective, starts: np.ndarray, max_sweeps: int = 500,
             pick = np.argmin(cand, axis=0)
             new_vals = cand[pick, rows]
             X[:, i] = base + offs[pick, rows]
-            improved |= new_vals < vals - rel_tol * np.abs(vals)
+            improved |= new_vals < vals - 1e-13 * np.abs(vals)
             vals = new_vals
         d = np.where(improved, d, d * 0.5)
         d = np.maximum(d, 1e-10)
         stall = np.where(improved, 0, stall + 1)
-        if np.all(stall >= patience):
+        if np.all(stall >= 5):
             break
-    return X, vals, sweeps
+    return X, vals
 
 
-def brute_force_lambda(grid: Grid, p: float, q: float, restarts: int = 64,
-                       seed: int = 0, method: str = "auto") -> OracleResult:
-    """Reference first (p,q)-eigenvalue on a tiny grid.
-
-    Dispatches to the dense symmetric eigensolve when p = q = 2, otherwise
-    to the seeded multistart search (positive start plus ``restarts`` random
-    unit-sphere starts; at least 32 required).
+def brute_force_lambda(grid: Grid, p: float, q: float, seed: int = 0) -> OracleResult:
+    """Reference first (p,q)-eigenvalue on a tiny grid: the dense symmetric
+    eigensolve when p = q = 2, otherwise the multistart search seeded by
+    ``seed`` (module docstring).  Another seed reruns a search that warned.
     """
     if grid.n_nodes > NODE_CAP:
         raise ValueError(
             f"oracle is limited to {NODE_CAP} interior nodes, grid has {grid.n_nodes}"
         )
-    if method not in ("auto", "dense_eig", "multistart"):
-        raise ValueError(f"unknown oracle method {method!r}")
-    if method == "dense_eig" and not (p == 2.0 and q == 2.0):
-        raise ValueError("dense_eig oracle requires p = q = 2")
-    use_dense = (method in ("auto", "dense_eig")) and p == 2.0 and q == 2.0
-
-    if use_dense:
+    if p == 2.0 and q == 2.0:
         K = grid.stiffness_p2.toarray()
         evals, evecs = scipy.linalg.eigh(K)
         u = _normalized(grid, evecs[:, 0], q)
         return OracleResult(float(evals[0]), u, "dense_eig", 0)
+    return _multistart(grid, p, q, seed)
 
-    if restarts < 32:
-        raise ValueError(f"multistart oracle needs at least 32 restarts, got {restarts}")
+
+def _multistart(grid: Grid, p: float, q: float, seed: int) -> OracleResult:
     rng = np.random.default_rng(seed)
-    n = grid.n_nodes
-    starts = rng.standard_normal((restarts + 1, n))
+    starts = rng.standard_normal((RESTARTS + 1, grid.n_nodes))
     starts[0] = 1.0  # positive start targets the ground state
     vol = grid.cell_volume
     starts /= ((np.sum(np.abs(starts) ** q, axis=1) * vol) ** (1.0 / q))[:, None]
     quot = _quotient_batch(grid, p, q)
     start_vals = quot(starts)
-    X, vals, _ = multistart_minimize(quot, starts)
+    X, vals = multistart_minimize(quot, starts)
     best = int(np.argmin(vals))
     if float(np.min(vals)) >= start_vals[0] * (1.0 - 1e-9):
         warnings.warn(
             "multistart oracle found no improvement over the raw positive start; "
-            "treat lambda_star as suspect", RuntimeWarning, stacklevel=2,
+            "treat lambda_star as suspect", RuntimeWarning, stacklevel=3,
         )
     u = _normalized(grid, X[best], q)
-    return OracleResult(float(vals[best]), u, "multistart", restarts)
+    return OracleResult(float(vals[best]), u, "multistart", RESTARTS)
 
 
 def _normalized(grid: Grid, values: np.ndarray, q: float) -> Field:

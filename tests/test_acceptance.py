@@ -206,13 +206,12 @@ def test_criterion_6_regularity_diagnostics():
         details.append(f"{grid.group.name[:4]} p={p:g} q={q:g} core={c:.3f}")
     # decay inequalities at every tested level, case I and case II
     for grid, p, q, r in results:
-        nu = grid.group.homogeneous_dim
         l_case = p if q <= p else q
         if l_case == q:
             S = sobolev_constant_from_lambda(r.lambda_hat, grid, p, q)
         else:
             S = se.estimate_sobolev_constant(grid, p, l_case)
-        checks = decay_inequality_checks(r.eigenfunction, r.lambda_hat, S, p, q, nu)
+        checks = decay_inequality_checks(r.eigenfunction, r.lambda_hat, S, p, q)
         ok &= len(checks) >= 1 and all(c["ok"] for c in checks)
     # sup norm stability across one refinement of the criterion-1 configuration
     sups = []

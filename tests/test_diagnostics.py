@@ -104,7 +104,7 @@ def test_decay_inequality_case1():
     grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (32, 32))
     r = se.inverse_iteration(se.SolverConfig(grid=grid, p=2.0, q=2.0))
     S = sobolev_constant_from_lambda(r.lambda_hat, grid, 2.0, 2.0)
-    checks = decay_inequality_checks(r.eigenfunction, r.lambda_hat, S, 2.0, 2.0, 2)
+    checks = decay_inequality_checks(r.eigenfunction, r.lambda_hat, S, 2.0, 2.0)
     assert len(checks) >= 1
     assert all(c["ok"] for c in checks)
     # the first tested level sits at the case threshold
@@ -116,7 +116,7 @@ def test_decay_inequality_case2():
     grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (24, 24))
     r = se.inverse_iteration(se.SolverConfig(grid=grid, p=2.0, q=3.0))
     S = sobolev_constant_from_lambda(r.lambda_hat, grid, 2.0, 3.0)
-    checks = decay_inequality_checks(r.eigenfunction, r.lambda_hat, S, 2.0, 3.0, 2)
+    checks = decay_inequality_checks(r.eigenfunction, r.lambda_hat, S, 2.0, 3.0)
     assert all(c["ok"] for c in checks)
 
 
@@ -143,8 +143,7 @@ def test_each_level_is_measured_once(monkeypatch):
     assert measured == [k for k, _ in rep.level_measures]
     # the decay checks read the same levels and measures
     S = sobolev_constant_from_lambda(r.lambda_hat, grid, 2.0, 2.0)
-    checks = decay_inequality_checks(normalize(r.eigenfunction, 2.0), r.lambda_hat, S,
-                                     2.0, 2.0, 2)
+    checks = decay_inequality_checks(normalize(r.eigenfunction, 2.0), r.lambda_hat, S, 2.0, 2.0)
     assert [(c["k"], c["measure"]) for c in checks] == rep.level_measures
 
 

@@ -222,6 +222,24 @@ def test_inverse_iteration_inner_failure_returns_last_step(monkeypatch):
     assert np.array_equal(r.eigenfunction.values, two_steps.eigenfunction.values)
 
 
+@pytest.mark.parametrize("bad", ["zero", "inf node"])
+def test_degenerate_inner_iterate_raises(monkeypatch, bad):
+    # A(z) = B(w) has a nonzero finite solution for nonzero w, so a zero or
+    # non-finite z from the inner solver is a defect, not a failed solve
+    from subeigen import eigensolver
+
+    def solve(f, *args, **kwargs):
+        z = se.Field.zeros(f.grid)
+        if bad == "inf node":
+            z.values[3] = np.inf
+        return z
+
+    monkeypatch.setattr(eigensolver, "solve_inner", solve)
+    with pytest.raises(RuntimeError, match="degenerate iterate") as info:
+        se.inverse_iteration(se.SolverConfig(grid=small_square(), p=2.0, q=2.0))
+    assert not isinstance(info.value, se.ConvergenceError)
+
+
 def test_scalar_multiple_structure():
     cfg = se.SolverConfig(grid=small_square(), p=2.0, q=2.0)
     r = se.inverse_iteration(cfg)

@@ -63,7 +63,7 @@ def test_p4_matches_derivative_free_minimizer(rng):
 
     starts = 0.3 * rng.standard_normal((33, 9))
     starts[0] = 0.1
-    X, vals, _ = multistart_minimize(batch, starts, max_sweeps=800)
+    X, vals = multistart_minimize(batch, starts)
     best = X[np.argmin(vals)]
     assert np.max(np.abs(z.values - best)) < 1e-6
 
@@ -74,7 +74,7 @@ def test_cg_and_newton_agree_at_p2(rng):
     tol = 1e-8
     z_cg = solve_inner(f, 2.0, tol)
     z_newton, _, _ = _minimize(grid, f.values, np.zeros(grid.n_nodes), 2.0,
-                               tol * np.linalg.norm(f.values), 100, None)
+                               tol * np.linalg.norm(f.values), None)
     assert np.max(np.abs(z_cg.values - z_newton)) < 10 * tol
 
 
@@ -307,18 +307,19 @@ def test_loose_tol_at_or_below_tol_is_the_plain_solve(rng, p, loose_tol):
 @pytest.mark.parametrize("case, error", [("x0 on another grid", ValueError),
                                          ("NaN in x0", ValueError),
                                          ("inf in x0", ValueError),
-                                         ("NaN in f", ConvergenceError)])
+                                         ("NaN in f", ValueError),
+                                         ("inf in f", ValueError)])
 def test_bad_start_or_nan_residual_raises(monkeypatch, p, case, error):
-    # MAX_ITERS keeps a solve that misses the fault short; a NaN residual
-    # fails the decade test instead of passing it
+    # every case is rejected before the first iteration; MAX_ITERS keeps a
+    # solve that misses the fault short
     monkeypatch.setattr(inner_solver, "MAX_ITERS", 50)
     grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (8, 8))
     other = se.build_grid("euclidean2", [(0, 2), (0, 1)], (8, 8))  # same node count
     fvals, x0 = np.ones(grid.n_nodes), se.Field(grid, np.ones(grid.n_nodes))
     if case == "x0 on another grid":
         x0 = se.Field(other, x0.values)
-    elif case == "NaN in f":
-        fvals[5], x0 = np.nan, None
+    elif case.endswith("in f"):
+        fvals[5], x0 = (np.nan if case == "NaN in f" else np.inf), None
     else:
         x0.values[5] = np.nan if case == "NaN in x0" else np.inf
     with pytest.raises(error):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import subeigen as se
+from subeigen.oracle import RESTARTS, _multistart
 from conftest import chain_grid
 
 
@@ -21,11 +22,12 @@ def test_square_3x3_value():
 
 def test_dense_and_multistart_agree():
     grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (3, 3))
-    dense = se.brute_force_lambda(grid, 2.0, 2.0, method="dense_eig")
-    multi = se.brute_force_lambda(grid, 2.0, 2.0, method="multistart", seed=3)
+    dense = se.brute_force_lambda(grid, 2.0, 2.0)
+    multi = _multistart(grid, 2.0, 2.0, 3)
+    assert dense.method == "dense_eig"
     assert multi.lambda_star == pytest.approx(dense.lambda_star, rel=1e-6)
     assert multi.method == "multistart"
-    assert multi.restarts_used == 64
+    assert multi.restarts_used == RESTARTS == 64
 
 
 def test_minimizer_contract():
@@ -43,20 +45,6 @@ def test_node_cap():
     grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (6, 6))
     with pytest.raises(ValueError):
         se.brute_force_lambda(grid, 2.0, 2.0)
-
-
-def test_restart_floor():
-    grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (3, 3))
-    with pytest.raises(ValueError):
-        se.brute_force_lambda(grid, 2.5, 2.0, restarts=8)
-
-
-def test_method_validation():
-    grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (3, 3))
-    with pytest.raises(ValueError):
-        se.brute_force_lambda(grid, 2.5, 2.0, method="dense_eig")
-    with pytest.raises(ValueError):
-        se.brute_force_lambda(grid, 2.0, 2.0, method="annealing")
 
 
 def test_seed_determinism():

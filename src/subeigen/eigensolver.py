@@ -133,6 +133,11 @@ def normalize(u: Field, q: float) -> Field:
     nrm = lq_norm(u, q)
     if nrm == 0.0:
         raise ValueError("cannot normalize the zero field")
+    return _rescale(u, nrm)
+
+
+def _rescale(u: Field, nrm: float) -> Field:
+    """u / nrm, u's L^q norm already taken, sign flipped so the node sum is >= 0."""
     vals = u.values / nrm
     if vals.sum() < 0.0:
         vals = -vals
@@ -192,7 +197,7 @@ def _anderson_candidate(g: np.ndarray, f: np.ndarray, dG: list[np.ndarray],
     nrm = lq_norm(cand, q)
     if not (math.isfinite(nrm) and nrm > 0.0):
         return None
-    return normalize(cand, q)
+    return _rescale(cand, nrm)
 
 
 def _in_hoelder_bracket(z: Field, p: float, q: float, R_w: float, slack: float) -> bool:
@@ -266,7 +271,7 @@ def inverse_iteration(cfg: SolverConfig, w0: Field | str = "default") -> EigenRe
                 "nonzero solution for nonzero w, so this indicates a solver bug"
             )
         mu = znorm ** (1.0 - p)
-        g_prev, f_prev, g = g, f, normalize(z, q)
+        g_prev, f_prev, g = g, f, _rescale(z, znorm)
         f = g.values - w.values
         if f_prev is not None:
             dF = (dF + [f - f_prev])[-_ANDERSON_DEPTH:]

@@ -7,7 +7,10 @@ The subproblem behind one inverse-iteration step asks for the unique z with
 i.e. the minimizer of J(z) = (1/p) E_eps(z) - <f, z>, E_eps mesh.EnergyState's energy.
 solve_inner is the one entry point for every p.  At p = 2 the operator is
 the assembled linear SPD stiffness K = G^T G, the grid's banded DIA matrix,
-and a Jacobi preconditioned conjugate gradient (PCG) runs on it.  Otherwise
+and the solve is a float64 defect correction (Carson & Higham 2018): each
+round solves K d = f - K z to RHO relative by Jacobi preconditioned conjugate
+gradient (PCG) in float32, on Grid.stiffness_p2_float32, and adds d to z; a
+round that does not halve ||f - K z|| meets the rounding floor.  Otherwise
 one loop minimizes J at the single eps EPS = 1e-8, which keeps the flux
 weight a = (|grad z|^2 + eps^2)^{(p-2)/2} finite (p < 2) and nonzero
 (p > 2) where the gradient vanishes.  A cold start is the scaled p = 2
@@ -24,9 +27,8 @@ tolerance is 0.5 for a Kacanov step and min(0.5, sqrt(||grad J|| / ||f||))
 for a Newton step (Eisenstat & Walker).
 
 All tolerances are relative to the data: the reported solution satisfies
-||A_eps(z) - f|| <= tol * ||f|| on the node-value arrays, where at p = 2
-the residual is the conjugate gradient's recursively updated one, equal
-to f - G^T G z up to rounding.
+||A_eps(z) - f|| <= tol * ||f|| on the node-value arrays, at p = 2 for the
+float64 residual f - K z.  Every p != 2 PCG runs in float64.
 """
 
 from __future__ import annotations
@@ -55,6 +57,9 @@ EPS = 1e-8
 
 # The step cap of each decade of a solve: CG iterations at p = 2, steps otherwise.
 MAX_ITERS = 100_000
+
+# Each float32 correction round at p = 2 solves to this relative tolerance.
+RHO = 1e-3
 
 
 def _pcg(A, b: np.ndarray, Minv: np.ndarray, x: np.ndarray, tol: float,
@@ -141,14 +146,14 @@ def solve_inner(f: Field, p: float, tol: float, x0: Field | None = None,
                 history: list | None = None, stats: dict | None = None,
                 loose: tuple[float, Callable[[Field], bool]] | None = None) -> Field:
     """Minimize J of the module docstring at eps = EPS for p > 1 and tol
-    finite and positive, until ||A_eps(z) - f|| <= tol * ||f||: by CG on K
-    at p = 2, which tests its recursively updated residual in place of
-    f - K z, otherwise by the steps of the module docstring, from x0 (a
+    finite and positive, until ||A_eps(z) - f|| <= tol * ||f||: at p = 2 by
+    the defect correction of the module docstring, which tests the float64
+    residual f - K z, otherwise by the steps given there, from x0 (a
     ValueError unless finite and on f's grid) or else from 0 (p = 2) or the
     cold start.  A non-finite f is a ValueError; f = 0 returns 0.
     ``history`` gets J at each p != 2 iterate.  MAX_ITERS CG iterations or
-    steps in one decade (below), a NaN residual or a line-search stall raise
-    ConvergenceError.
+    steps in one decade (below), a NaN residual, a correction round that
+    does not halve the residual or a line-search stall raise ConvergenceError.
 
     ``loose = (loose_tol, accept)`` makes the solve tighten one decade at a
     time: it stops first at loose_tol and returns that z if accept(z)
@@ -175,19 +180,29 @@ def solve_inner(f: Field, p: float, tol: float, x0: Field | None = None,
     z = x0.values.copy() if x0 is not None and fnorm > 0.0 else \
         np.zeros(grid.n_nodes) if fnorm == 0.0 or p == 2.0 else None
     total = 0
+    Minv32 = (1.0 / grid.stiffness_diagonal).astype(np.float32) if p == 2.0 else None
     while True:
         final = stage_tol <= tol * (1.0 + 1e-9)  # a decade on tol up to rounding is final
         stage_tol = tol if final else stage_tol
-        if p == 2.0:
-            z, gnorm, iters = _pcg(grid.stiffness_p2, fvals, 1.0 / grid.stiffness_diagonal, z,
-                                   stage_tol * fnorm, MAX_ITERS)
+        if p == 2.0:  # float32 PCG rounds on K d = r / ||r||, r = f - K z in float64
+            r = fvals - grid.stiffness_p2 @ z
+            gnorm, last, iters = math.sqrt(np.dot(r, r)), math.inf, 0
+            # stop on tol, on MAX_ITERS or on a round that did not halve the residual
+            while stage_tol * fnorm < gnorm <= 0.5 * last and iters < MAX_ITERS:
+                d, _, its = _pcg(grid.stiffness_p2_float32, (r / gnorm).astype(np.float32), Minv32,
+                                 np.zeros_like(Minv32), max(RHO, stage_tol * fnorm / gnorm),
+                                 MAX_ITERS - iters)
+                iters += its
+                z += gnorm * d.astype(float)
+                r = fvals - grid.stiffness_p2 @ z
+                last, gnorm = gnorm, math.sqrt(np.dot(r, r))
         else:
             z, gnorm, iters = _minimize(grid, fvals, z, p, stage_tol * fnorm, history)
         total += iters
         if not gnorm <= stage_tol * fnorm:  # also a NaN residual
-            raise ConvergenceError(
-                f"inner solve missed tolerance {stage_tol:g} ({MAX_ITERS} iterations "
-                f"exhausted; relative residual {gnorm / fnorm:.3e})", Field(grid, z), gnorm)
+            why = "correction stalled" if iters < MAX_ITERS else f"{MAX_ITERS} iterations exhausted"
+            raise ConvergenceError(f"inner solve missed tolerance {stage_tol:g} ({why}; relative "
+                                   f"residual {gnorm / fnorm:.3e})", Field(grid, z), gnorm)
         if final or accept(Field(grid, z.copy())):  # CG goes on updating z in place
             break
         stage_tol /= 10.0

@@ -224,6 +224,11 @@ class Grid:
         return self.stiffness()
 
     @cached_property
+    def stiffness_p2_float32(self) -> sp.dia_matrix:
+        """``stiffness_p2`` rounded to float32, for the p = 2 correction solves."""
+        return self.stiffness_p2.astype(np.float32)
+
+    @cached_property
     def gradient_transpose(self) -> sp.csr_matrix:
         """G^T in CSR, built on first use (products with the CSC view G.T are 2.5-5x slower)."""
         return self.gradient_matrix.T.tocsr()

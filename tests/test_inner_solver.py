@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,43 @@ def test_pcg_work_vectors_change_no_bit(seed):
                                                      max_iters)
             assert x.tobytes() == x_ref.tobytes()
             assert (res, its) == (res_ref, its_ref)
+
+
+@pytest.mark.parametrize("group, n", [("euclidean2", 16), ("heisenberg1", 8)])
+def test_p2_solve_meets_tol_on_its_float64_residual(rng, group, n):
+    # the tolerance holds for f - K z, not only for the float32 rounds' own residual
+    dim = 2 if group == "euclidean2" else 3
+    grid = se.build_grid(group, [(0, 1)] * dim, (n,) * dim)
+    f = se.Field(grid, rng.standard_normal(grid.n_nodes))
+    fnorm = np.linalg.norm(f.values)
+    for tol in 10.0 ** -np.arange(2, 13):
+        z = solve_inner(f, 2.0, tol)
+        assert np.linalg.norm(f.values - grid.stiffness_p2 @ z.values) <= tol * fnorm
+
+
+def test_p2_solve_below_the_rounding_floor_stalls_out_at_once(rng):
+    grid = se.build_grid("heisenberg1", [(0, 1)] * 3, (8, 8, 8))
+    f = se.Field(grid, rng.standard_normal(grid.n_nodes))
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError, match="correction stalled") as info:
+        solve_inner(f, 2.0, 1e-16)
+    assert time.perf_counter() - start < 1.0
+    # the error carries the float64 residual of the iterate it returns
+    z = info.value.last_iterate.values
+    assert info.value.grad_norm == pytest.approx(
+        np.linalg.norm(f.values - grid.stiffness_p2 @ z), rel=1e-12)
+    assert 0.0 < info.value.grad_norm < 1e-13 * np.linalg.norm(f.values)
+
+
+@pytest.mark.parametrize("scale", [1e-30, 1e30])
+def test_p2_solve_scales_outside_the_float32_range(rng, scale):
+    # every float32 round solves for r / ||r||, so f far outside float32's
+    # range solves like f itself
+    grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (8, 8))
+    f = se.Field(grid, rng.standard_normal(grid.n_nodes))
+    z = solve_inner(f, 2.0, 1e-10)
+    scaled = solve_inner(se.Field(grid, scale * f.values), 2.0, 1e-10)
+    assert np.linalg.norm(scaled.values / scale - z.values) <= 1e-8 * np.linalg.norm(z.values)
 
 
 def test_energy_descent_history(rng):

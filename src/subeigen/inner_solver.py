@@ -9,10 +9,11 @@ solve_inner is the one entry point for every p.  At p = 2 the operator is
 the assembled linear SPD stiffness K = G^T G, the grid's banded DIA matrix,
 and the solve is a float64 defect correction (Carson & Higham 2018): each
 round solves K d = f - K z to RHO relative by Jacobi preconditioned conjugate
-gradient (PCG) in float32, on Grid.stiffness_p2_float32, and adds d to z; a
-round that does not halve ||f - K z|| meets the rounding floor.  Otherwise
-one loop minimizes J at the single eps EPS = 1e-8, which keeps the flux
-weight a = (|grad z|^2 + eps^2)^{(p-2)/2} finite (p < 2) and nonzero
+gradient (PCG) in float32, on Grid.stiffness_p2_float32's K / 2^k (2^k a
+power of two that keeps K in the float32 range and moves no bit), and adds d
+to z; a round that does not halve ||f - K z|| meets the rounding floor.
+Otherwise one loop minimizes J at the single eps EPS = 1e-8, which keeps the
+flux weight a = (|grad z|^2 + eps^2)^{(p-2)/2} finite (p < 2) and nonzero
 (p > 2) where the gradient vanishes.  A cold start is the scaled p = 2
 solution, by the same PCG on K.  Every step assembles H as a banded matrix
 (mesh.EnergyState.hessian), solves H d = -grad J from zero by PCG with H's
@@ -62,13 +63,12 @@ MAX_ITERS = 100_000
 RHO = 1e-3
 
 
-def _pcg(A, b: np.ndarray, Minv: np.ndarray, x: np.ndarray, tol: float,
+def _pcg(A, b: np.ndarray, Minv: np.ndarray, tol: float,
          max_iters: int) -> tuple[np.ndarray, float, int]:
-    """Conjugate gradient for the SPD system A x = b, preconditioned by the
-    diagonal inverse Minv, from x (updated in place), until the recursively
-    updated residual r (b - A x, then r -= alpha A d) has ||r|| <= tol;
-    returns (x, ||r||, iterations).  An iteration allocates only A d."""
-    r = b - A @ x if x.any() else b.copy()
+    """Conjugate gradient for the SPD system A x = b from x = 0, preconditioned
+    by the diagonal inverse Minv, until the recursively updated residual r has
+    ||r|| <= tol; returns (x, ||r||, iterations).  An iteration allocates only A d."""
+    x, r = np.zeros_like(b), b.copy()
     z = Minv * r
     d = z.copy()
     step = np.empty_like(r)
@@ -103,8 +103,8 @@ def _minimize(grid: Grid, fvals: np.ndarray, z: np.ndarray | None, p: float, tol
     """
     fnorm, cold = float(np.linalg.norm(fvals)), z is None
     if cold:  # K z = f to 1e-1, scaled to the minimizer of J_0 along its ray
-        z, _, _ = _pcg(grid.stiffness_p2, fvals, 1.0 / grid.stiffness_diagonal,
-                       np.zeros(grid.n_nodes), 0.1 * fnorm, grid.n_nodes)
+        z, _, _ = _pcg(grid.stiffness_p2, fvals, 1.0 / grid.stiffness_diagonal, 0.1 * fnorm,
+                       grid.n_nodes)
         z *= (np.dot(fvals, z) / EnergyState(grid, z, p, 0.0).energy()) ** (1.0 / (p - 1.0))
     state = EnergyState(grid, z, p, EPS)
     energy, fz = state.energy() / p, float(np.dot(fvals, z))
@@ -119,23 +119,23 @@ def _minimize(grid: Grid, fvals: np.ndarray, z: np.ndarray | None, p: float, tol
         kacanov = kacanov and gnorm > 1e-2 * fnorm  # once Newton, always Newton
         forcing = 0.5 if kacanov else min(0.5, np.sqrt(gnorm / fnorm))
         hessian = state.hessian(frozen=kacanov)
-        d, _, _ = _pcg(hessian, -grad, 1.0 / hessian.diagonal(), np.zeros_like(z),
-                       forcing * gnorm, grid.n_nodes)
+        d, _, _ = _pcg(hessian, -grad, 1.0 / hessian.diagonal(), forcing * gnorm, grid.n_nodes)
         del hessian  # freed before the next step assembles its own
         decrement = -float(np.dot(grad, d))
         noise = 64 * np.finfo(float).eps * (abs(energy) + abs(fz))
         step, stalled = 1.0, False
-        while not stalled:
-            z_try = z + step * d
-            with np.errstate(over="ignore"):  # a J that overflows fails the Armijo test
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed trial fails below
+            while not stalled:
+                z_try = z + step * d
                 trial = EnergyState(grid, z_try, p, EPS)
                 energy_try, fz_try = trial.energy() / p, float(np.dot(fvals, z_try))
-            if decrement <= noise or energy_try - fz_try <= energy - fz - 1e-4 * step * decrement:
-                break
-            step *= 0.5
-            stalled = not step * decrement > noise  # also stops on a NaN direction
-        grad_try = trial.flux_divergence() - fvals
-        if stalled or decrement <= noise and np.linalg.norm(grad_try) >= gnorm:
+                if decrement <= noise or \
+                        energy_try - fz_try <= energy - fz - 1e-4 * step * decrement:
+                    break
+                step *= 0.5
+                stalled = not step * decrement > noise  # also stops on a NaN direction
+            grad_try = trial.flux_divergence() - fvals
+        if stalled or decrement <= noise and not np.linalg.norm(grad_try) < gnorm:
             raise ConvergenceError(
                 f"inner solve missed tolerance {tol_abs / fnorm:g} (line search stalled; "
                 f"relative gradient {gnorm / fnorm:.3e})", Field(grid, z), gnorm)
@@ -180,20 +180,19 @@ def solve_inner(f: Field, p: float, tol: float, x0: Field | None = None,
     z = x0.values.copy() if x0 is not None and fnorm > 0.0 else \
         np.zeros(grid.n_nodes) if fnorm == 0.0 or p == 2.0 else None
     total = 0
-    Minv32 = (1.0 / grid.stiffness_diagonal).astype(np.float32) if p == 2.0 else None
     while True:
         final = stage_tol <= tol * (1.0 + 1e-9)  # a decade on tol up to rounding is final
         stage_tol = tol if final else stage_tol
-        if p == 2.0:  # float32 PCG rounds on K d = r / ||r||, r = f - K z in float64
+        if p == 2.0:  # float32 PCG rounds on (K / 2^k) d = r / ||r||, r = f - K z in float64
+            K32, Minv32, scale = grid.stiffness_p2_float32
             r = fvals - grid.stiffness_p2 @ z
             gnorm, last, iters = math.sqrt(np.dot(r, r)), math.inf, 0
             # stop on tol, on MAX_ITERS or on a round that did not halve the residual
             while stage_tol * fnorm < gnorm <= 0.5 * last and iters < MAX_ITERS:
-                d, _, its = _pcg(grid.stiffness_p2_float32, (r / gnorm).astype(np.float32), Minv32,
-                                 np.zeros_like(Minv32), max(RHO, stage_tol * fnorm / gnorm),
-                                 MAX_ITERS - iters)
+                d, _, its = _pcg(K32, (r / gnorm).astype(np.float32), Minv32,
+                                 max(RHO, stage_tol * fnorm / gnorm), MAX_ITERS - iters)
                 iters += its
-                z += gnorm * d.astype(float)
+                z += gnorm / scale * d.astype(float)
                 r = fvals - grid.stiffness_p2 @ z
                 last, gnorm = gnorm, math.sqrt(np.dot(r, r))
         else:

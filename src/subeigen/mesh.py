@@ -16,9 +16,9 @@ fixed lattice offset.  The gradient matrix is read off it in one pass into
 canonical CSR (sorted column indices, no duplicates, no stored zeros), so
 its in-row order, and with it the rounding of every product, is fixed here.
 Grid.stiffness builds G^T D G from the same stencil as a banded DIA matrix
-for a per-site block D: the p = 2 stiffness K at D = I, equal to the CSR
-product G^T G to the bit, and EnergyState's Kacanov operator (D = a I) and
-Newton Hessian (D = a I + b g g^T).
+for the per-site blocks D_kl it is given: K = G^T G without blocks, equal to
+the CSR product to the bit (its float32 form is scaled by a power of two),
+and the Kacanov operator and Newton Hessian from EnergyState.hessian.
 
 Field is the one node-value type, and horizontal_gradient(u) is G u as an
 (n1, n_sites) array.  p_energy is exact; its kernel EnergyState also takes
@@ -176,23 +176,24 @@ class Grid:
         return sp.csr_matrix((np.concatenate(vals), np.concatenate(cols), indptr),
                              shape=(self.group.horizontal_dim * self.n_sites, self.n_nodes))
 
-    def stiffness(self, a: np.ndarray | None = None, b: np.ndarray | None = None,
-                  g: np.ndarray | None = None) -> sp.dia_matrix:
+    def stiffness(self, blocks: dict[tuple[int, int], np.ndarray] | None = None) -> sp.dia_matrix:
         """G^T D G on node values (volume weight excluded) as a banded DIA
-        matrix built from ``gradient_stencil``, for the per-site block
-        D = a I + b g g^T: D = I when a is None, no b term when b is None.
+        matrix built from ``gradient_stencil``, for the per-site block D given
+        by ``blocks``, which maps each nonzero block (k, l) to its site weights
+        D_kl (EnergyState.hessian forms them); D = I when blocks is None.
 
-        Each nonzero block D_kl adds, for each pair of offsets (o, o') of
-        components k and l, the site products c_k,o D_kl c_l,o' into the
-        diagonal of the node offset o' - o; the b term adds two diagonals.
-        At D = I, with o descending every entry sums its sites in ascending
-        order, and lattice offsets that meet on one node offset (an axis
-        with 1 or 2 nodes) have disjoint supports, so K, and K @ v with its
-        ascending diagonals, equal those of the CSR product G^T G bit for bit.
+        Each block D_kl, in the map's order, adds for each pair of offsets
+        (o, o') of components k and l the site products c_k,o D_kl c_l,o'
+        into the diagonal of the node offset o' - o.  At D = I, with o
+        descending every entry sums its sites in ascending order, and
+        lattice offsets that meet on one node offset (an axis with 1 or 2
+        nodes) have disjoint supports, so K, and K @ v with its ascending
+        diagonals, equal those of the CSR product G^T G bit for bit.
         """
         strides = [int(np.prod(self.resolution[j + 1:])) for j in range(len(self.resolution))]
-        stencil, n1 = self.gradient_stencil, self.group.horizontal_dim
-        blocks = [(k, l) for k in range(n1) for l in range(n1) if k == l or b is not None]
+        stencil = self.gradient_stencil
+        if blocks is None:
+            blocks = dict.fromkeys((k, k) for k in range(self.group.horizontal_dim))
 
         def node_offset(o, o2):
             return sum((y - x) * st for x, y, st in zip(o, o2, strides))
@@ -202,14 +203,8 @@ class Grid:
         row = {k: i for i, k in enumerate(offsets)}
         data = np.zeros((len(offsets), self.n_nodes))
         diagonals = data.reshape(len(offsets), *self.resolution)
-        block, weighted, term = (np.empty(self.n_sites), np.empty(self.resolution),
-                                 np.empty(self.resolution))
-        for k, l in blocks:
-            d_kl = a
-            if b is not None:  # D_kl = b g_k g_l + a delta_kl, formed one block at a time
-                d_kl = np.multiply(np.multiply(g[k], g[l], out=block), b, out=block)
-                if k == l:
-                    d_kl += a
+        weighted, term = np.empty(self.resolution), np.empty(self.resolution)
+        for (k, l), d_kl in blocks.items():
             for o2, c2 in stencil[l].items():  # DIA stores column j = node s + o2 at data[:, j]
                 at = self._sites_reading(o2)
                 right = c2[at] if d_kl is None else \
@@ -224,9 +219,13 @@ class Grid:
         return self.stiffness()
 
     @cached_property
-    def stiffness_p2_float32(self) -> sp.dia_matrix:
-        """``stiffness_p2`` rounded to float32, for the p = 2 correction solves."""
-        return self.stiffness_p2.astype(np.float32)
+    def stiffness_p2_float32(self) -> tuple[sp.dia_matrix, np.ndarray, float]:
+        """(K / 2^k and 2^k / diag K in float32, and 2^k), K = stiffness_p2 and
+        2^k <= 2^1023 the power of two just above its largest diagonal entry: the
+        p = 2 rounds' matrix and Jacobi inverse, in the float32 range on every box."""
+        scale = 2.0 ** min(int(np.frexp(self.stiffness_diagonal.max())[1]), 1023)
+        return (self.stiffness_p2.multiply(1.0 / scale).astype(np.float32),
+                (scale / self.stiffness_diagonal).astype(np.float32), scale)
 
     @cached_property
     def gradient_transpose(self) -> sp.csr_matrix:
@@ -324,10 +323,11 @@ class EnergyState:
     Computes the site gradients g = G z once and s = |g|^2 + eps^2 from
     them.  ``energy()`` is sum s^{p/2}, ``flux_divergence()`` is G^T (a g)
     (G^T the grid's cached ``gradient_transpose``), the gradient of
-    energy()/p, and ``hessian()`` its Hessian G^T D G, ``Grid.stiffness`` at
-    D = a I + b g g^T with a = s^{(p-2)/2} and b = (p-2) s^{(p-4)/2}, or at
-    D = a I with ``frozen=True``: the operator of the flux weight frozen at
-    z.  None includes the cell volume.  Raises unless p > 1 and eps >= 0.
+    energy()/p, and ``hessian()`` its Hessian G^T D G, the one place that
+    forms D: ``Grid.stiffness`` of the site blocks D_kl = b g_k g_l + a
+    delta_kl with a = s^{(p-2)/2} and b = (p-2) s^{(p-4)/2}, or of D_kk = a
+    with ``frozen=True``: the operator of the flux weight frozen at z.  None
+    includes the cell volume.  Raises unless p > 1 and eps >= 0.
     """
 
     __slots__ = ("grid", "p", "g", "s", "_a")
@@ -359,13 +359,14 @@ class EnergyState:
         return self.grid.gradient_transpose @ (self.g * self._flux_weight()).ravel()
 
     def hessian(self, frozen: bool = False) -> sp.dia_matrix:
-        a, s = self._flux_weight(), self.s
+        a, s, g, n1 = self._flux_weight(), self.s, self.g, len(self.g)
         if frozen:
-            return self.grid.stiffness(a)
+            return self.grid.stiffness({(k, k): a for k in range(n1)})
         # b = 0 where s = 0: the Hessian there is only needed for p >= 2
         b = np.divide(a, s, out=np.zeros_like(a), where=s > 0.0)
         b *= self.p - 2.0
-        return self.grid.stiffness(a, b, self.g)
+        return self.grid.stiffness({(k, l): g[k] * g[l] * b + a if k == l else g[k] * g[l] * b
+                                    for k in range(n1) for l in range(n1)})
 
 
 def p_energy(u: Field, p: float) -> float:

@@ -291,6 +291,16 @@ def test_dilation_covariance_solver_level():
         assert lam_s / lam == pytest.approx(expected, rel=1e-6)
 
 
+def test_p2_eigenvalue_on_a_box_whose_stiffness_leaves_the_float32_range():
+    # K's entries are about 1e40 on [0, 1e-19]^2; lambda scales as L^-2 on a box of side L
+    width = 1e-19
+    unit, tiny = (se.inverse_iteration(se.SolverConfig(
+        grid=se.build_grid("euclidean2", [(0, L), (0, L)], (8, 8)), p=2.0, q=2.0))
+        for L in (1.0, width))
+    assert tiny.converged
+    assert tiny.lambda_hat * width ** 2 == pytest.approx(unit.lambda_hat, rel=1e-8)
+
+
 def test_solver_config_validation(unit_square):
     with pytest.raises(ValueError):
         se.SolverConfig(grid=unit_square, p=1.0, q=2.0)

@@ -1,13 +1,15 @@
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 import subeigen as se
 from subeigen import inner_solver
+from subeigen.eigensolver import _start_iterate
 from subeigen.inner_solver import ConvergenceError, _minimize, _pcg, solve_inner
 from subeigen.mesh import EnergyState
-from subeigen.operators import pairing
+from subeigen.operators import apply_B, pairing
 from subeigen.oracle import multistart_minimize
 from conftest import chain_grid, random_field
 
@@ -103,19 +105,18 @@ def allocating_pcg(matvec, b, Minv, x, tol, max_iters):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_pcg_work_vectors_change_no_bit(seed):
-    # random SPD systems with a spread diagonal, from zero and from a warm start
+    # random SPD systems with a spread diagonal, from zero
     rng = np.random.default_rng(seed)
     n = int(rng.integers(5, 60))
     Q = rng.standard_normal((n, n))
     K = Q @ Q.T + np.diag(rng.uniform(0.1, 10.0, n)) * n
     b, Minv = rng.standard_normal(n), 1.0 / np.diag(K)
-    for x0 in (np.zeros(n), rng.standard_normal(n)):
-        for tol, max_iters in ((1e-10 * np.linalg.norm(b), 10 * n), (0.0, 3)):
-            x, res, its = _pcg(K, b, Minv, x0.copy(), tol, max_iters)
-            x_ref, res_ref, its_ref = allocating_pcg(lambda v: K @ v, b, Minv, x0.copy(), tol,
-                                                     max_iters)
-            assert x.tobytes() == x_ref.tobytes()
-            assert (res, its) == (res_ref, its_ref)
+    for tol, max_iters in ((1e-10 * np.linalg.norm(b), 10 * n), (0.0, 3)):
+        x, res, its = _pcg(K, b, Minv, tol, max_iters)
+        x_ref, res_ref, its_ref = allocating_pcg(lambda v: K @ v, b, Minv, np.zeros(n), tol,
+                                                 max_iters)
+        assert x.tobytes() == x_ref.tobytes()
+        assert (res, its) == (res_ref, its_ref)
 
 
 @pytest.mark.parametrize("group, n", [("euclidean2", 16), ("heisenberg1", 8)])
@@ -153,6 +154,37 @@ def test_p2_solve_scales_outside_the_float32_range(rng, scale):
     z = solve_inner(f, 2.0, 1e-10)
     scaled = solve_inner(se.Field(grid, scale * f.values), 2.0, 1e-10)
     assert np.linalg.norm(scaled.values / scale - z.values) <= 1e-8 * np.linalg.norm(z.values)
+
+
+@pytest.mark.parametrize("width", [1e-19, 1e-21, 1e21, 1e25, 1.6e-153])
+def test_p2_solve_holds_on_boxes_whose_stiffness_leaves_the_float32_range(width):
+    # K's entries scale as width^-2; the float32 rounds run on K over a power
+    # of two, at most 2^1023 (K's largest diagonal is 1.3e308 on the last box)
+    grid = se.build_grid("euclidean2", [(0, width), (0, width)], (8, 8))
+    f = se.Field.ones(grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        z = solve_inner(f, 2.0, 1e-8).values
+    assert np.linalg.norm(f.values - grid.stiffness_p2 @ z) <= 1e-8 * np.linalg.norm(f.values)
+
+
+@pytest.mark.parametrize("seed", [4, 9, 11])
+def test_overflowed_trial_is_never_accepted(seed):
+    # at p = 100 on E2 16^2 these perturbed tent data send a stalled line
+    # search to a trial whose J overflows; it must be refused, not taken
+    grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (16, 16))
+    u0, _ = _start_iterate(grid, 100.0, 2.0, "default")
+    xi = np.random.default_rng(seed).standard_normal(grid.n_nodes)
+    f = se.Field(grid, apply_B(u0, 2.0).values * (1.0 + 1e-9 * xi))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            z, gnorm = solve_inner(f, 100.0, 1e-6).values, None
+        except ConvergenceError as exc:
+            z, gnorm = exc.last_iterate.values, exc.grad_norm
+        energy = EnergyState(grid, z, 100.0, inner_solver.EPS).energy()
+    assert np.isfinite(z).all() and np.isfinite(energy)
+    assert gnorm is None or np.isfinite(gnorm)
 
 
 def test_energy_descent_history(rng):

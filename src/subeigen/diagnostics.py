@@ -1,10 +1,10 @@
 """Regularity diagnostics for converged eigenfunctions.
 
 Numerically exercises the qualitative eigenfunction properties: the
-L-infinity bound via superlevel-set decay (De Giorgi style, with explicit
-thresholds k0/k1 and exponent alpha split by the cases q <= p and q > p),
-interior positivity, and the measure-scaling law of the Sobolev-type
-embedding
+L-infinity bound via superlevel-set decay (De Giorgi style: one threshold,
+constant and exponent alpha for both cases q <= p and q > p, written in
+r = max(p, q)), interior positivity, and the measure-scaling law of the
+Sobolev-type embedding
 
     ||u||_l  <=  S |Omega|^{1/l - 1/p + 1/nu} ||grad_H u||_p .
 
@@ -62,10 +62,6 @@ def embedding_ratio(u: Field, p: float, l: float) -> float:
     return lq_norm(u, l) / p_energy(u, p) ** (1.0 / p)
 
 
-def _volume_exponent(p: float, l: float, nu: int) -> float:
-    return 1.0 / l - 1.0 / p + 1.0 / nu
-
-
 def sobolev_constant_from_lambda(lam: float, grid: Grid, p: float, l: float) -> float:
     """Best embedding constant from a first (p,l)-eigenvalue on the same grid.
 
@@ -73,7 +69,7 @@ def sobolev_constant_from_lambda(lam: float, grid: Grid, p: float, l: float) -> 
     S = lam^{-1/p} |Omega|^{-(1/l - 1/p + 1/nu)}.
     """
     nu = grid.group.homogeneous_dim
-    return lam ** (-1.0 / p) * grid.box_volume ** (-_volume_exponent(p, l, nu))
+    return lam ** (-1.0 / p) * grid.box_volume ** (-(1.0 / l - 1.0 / p + 1.0 / nu))
 
 
 def estimate_sobolev_constant(grid: Grid, p: float, l: float) -> float:
@@ -87,32 +83,33 @@ def estimate_sobolev_constant(grid: Grid, p: float, l: float) -> float:
     return sobolev_constant_from_lambda(result.lambda_hat, grid, p, l)
 
 
+def _superlevel_exponents(p: float, q: float, nu: int) -> tuple[float, float]:
+    """(r, alpha) = (max(p, q), p (1/r - 1/p + 1/nu)) of the superlevel bound;
+    alpha = p/nu when q <= p.  alpha <= 0 is a ValueError."""
+    r = max(p, q)
+    alpha = p * (1.0 / r + (1.0 / nu - 1.0 / p))  # 1/r last would round away at huge r
+    if alpha <= 0:
+        raise ValueError(f"internal inconsistency: alpha = {alpha} must be positive in the "
+                         f"subcritical window")
+    return r, alpha
+
+
 def linf_threshold(lam: float, S: float, l1_norm: float, p: float, q: float,
                    nu: int) -> ThresholdInfo:
-    """Superlevel threshold above which the decay inequality takes hold.
-
-    Case I (q <= p):  k0 = (2^p S lam)^{nu/p} ||u||_1
-    Case II (q > p):  alpha = p (1/q - 1/p + 1/nu),
-                      k1 = (S lam 2^q)^{1/alpha} ||u||_1
-    Both are floored at 1, matching the level range the bound addresses, and
-    computed in logarithms: a threshold beyond the float range (large q) is inf.
+    """Superlevel threshold k = (2^r S lam)^{1/alpha} ||u||_1 above which the
+    decay inequality takes hold, (r, alpha) as in _superlevel_exponents and S
+    the (p, r) constant; only case II (q > p) reports alpha.  k is floored at
+    1, matching the level range the bound addresses, and computed in
+    logarithms: a threshold beyond the float range (large q) is inf.
     """
     if lam <= 0 or S <= 0 or l1_norm <= 0:
         raise ValueError("lam, S and the L^1 norm must all be positive")
+    r, alpha = _superlevel_exponents(p, q, nu)
     log_base = math.log(S) + math.log(lam)
-    if q <= p:
-        log_k, tag, alpha = nu / p * (p * math.log(2.0) + log_base), "I", None
-    else:
-        alpha = p * (1.0 / q + (1.0 / nu - 1.0 / p))  # 1/q last would round away at huge q
-        if alpha <= 0:
-            raise ValueError(
-                f"internal inconsistency: alpha = {alpha} must be positive in the "
-                f"subcritical window"
-            )
-        log_k, tag = (q * math.log(2.0) + log_base) / alpha, "II"
-    log_k += math.log(l1_norm)
+    log_k = (r * math.log(2.0) + log_base) / alpha + math.log(l1_norm)
     k = math.exp(max(log_k, 0.0)) if log_k < _LOG_FLOAT_MAX else math.inf
-    return ThresholdInfo(k=k, case_tag=tag, alpha=alpha)
+    return ThresholdInfo(k=k, case_tag="I" if q <= p else "II",
+                         alpha=None if q <= p else alpha)
 
 
 def level_set_measure(u: Field, k: float) -> float:
@@ -145,23 +142,19 @@ def decay_inequality_checks(u: Field, lam: float, S: float, p: float, q: float) 
 
     For the normalized eigenfunction the excess mass above level k must obey
 
-        int_{u>k} (u - k) dV <= (lam S 2^p)^{1/(p-1)} k |{u>k}|^{1 + p/(nu(p-1))}
+        int_{u>k} (u - k) dV <= (lam S 2^r)^{1/(r-1)} k |{u>k}|^{1 + alpha/(r-1)}
 
-    in case I (q <= p), and the analogue with exponent 1 + alpha/(q-1) and
-    constant (lam S 2^q)^{1/(q-1)} in case II; nu is the homogeneous
-    dimension of u's group, read from u's grid.  Levels follow the geometric
-    grid starting at the case threshold.  Returns one dict per level with
-    keys k, measure, lhs, rhs, ok.
+    with (r, alpha) those of ``linf_threshold``, in both cases; nu is the
+    homogeneous dimension of u's group, read from u's grid.  Levels follow
+    the geometric grid starting at the threshold.  Returns one dict per
+    level with keys k, measure, lhs, rhs, ok.
     """
     nu = u.grid.group.homogeneous_dim
     info = linf_threshold(lam, S, lq_norm(u, 1.0), p, q, nu)
+    r, alpha = _superlevel_exponents(p, q, nu)
     vol = u.grid.cell_volume
-    if info.case_tag == "I":
-        const = (lam * S * 2.0 ** p) ** (1.0 / (p - 1.0))
-        expo = 1.0 + p / (nu * (p - 1.0))
-    else:
-        const = (lam * S * 2.0 ** q) ** (1.0 / (q - 1.0))
-        expo = 1.0 + info.alpha / (q - 1.0)
+    const = (lam * S * 2.0 ** r) ** (1.0 / (r - 1.0))
+    expo = 1.0 + alpha / (r - 1.0)
     out = []
     for k, measure in _level_grid(u, info.k):
         lhs = float(np.sum(u.values[u.values > k] - k) * vol)
@@ -176,16 +169,15 @@ def regularity_report(u: Field, lam: float, p: float, q: float) -> RegularityRep
 
     ``u`` is renormalized to unit L^q norm internally (the bound is stated
     for that representative).  S is the discrete best constant for the
-    exponent pair the active case needs: l = q reuses lam itself; l = p
-    (case I with q < p) runs one extra inverse_iteration on the same grid.
+    exponent pair (p, r), r = max(p, q): r = q reuses lam itself; r = p > q
+    runs one extra inverse_iteration on the same grid.
     """
     grid = u.grid
     nu = grid.group.homogeneous_dim
     u = normalize(u, q)
-    if q < p:
-        S = estimate_sobolev_constant(grid, p, p)
-    else:
-        S = sobolev_constant_from_lambda(lam, grid, p, q)
+    r, _ = _superlevel_exponents(p, q, nu)
+    S = sobolev_constant_from_lambda(lam, grid, p, q) if r == q else \
+        estimate_sobolev_constant(grid, p, r)
     info = linf_threshold(lam, S, lq_norm(u, 1.0), p, q, nu)
     positive, c = positivity_check(u)
     return RegularityReport(

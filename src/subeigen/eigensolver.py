@@ -183,21 +183,28 @@ _LOOSE_FACTOR = 0.1
 _LOOSE_CAP = 1e-2
 
 
-def _anderson_candidate(g: np.ndarray, f: np.ndarray, dG: list[np.ndarray],
-                        dF: list[np.ndarray], grid: Grid, q: float) -> Field | None:
-    """Normalized Anderson extrapolation g_n - dG gamma, where gamma is the
-    least-squares fit of the newest fixed-point residual f_n = g_n - w_n by
-    the differences dF of the kept residuals, and dG holds those of the kept
-    g, oldest first; None if it is degenerate."""
-    try:
-        gamma = np.linalg.lstsq(np.array(dF).T, f, rcond=None)[0]
-    except np.linalg.LinAlgError:
-        return None
-    cand = Field(grid, g - np.array(dG).T @ gamma)
-    nrm = lq_norm(cand, q)
-    if not (math.isfinite(nrm) and nrm > 0.0):
-        return None
-    return _rescale(cand, nrm)
+def _anderson_candidate(pairs: list[tuple[Field, np.ndarray]], R_g: float, p: float,
+                        q: float) -> tuple[Field, float, list[tuple[Field, np.ndarray]]]:
+    """(next iterate, its exact quotient R, pairs to keep) from the kept pairs
+    (g_i, f_i = g_i - w_i), oldest first with (g_n, f_n) last, and R_g = R(g_n):
+    the normalized g_n - dG gamma of the last _ANDERSON_DEPTH + 1 pairs, gamma
+    the least-squares fit of f_n by the differences dF of their f_i and dG those
+    of their g_i, if finite, nonzero and R <= R_g; else g_n, restarting from it."""
+    pairs = pairs[-_ANDERSON_DEPTH - 1:]
+    g, f = pairs[-1]
+    if len(pairs) > 1:
+        dG = np.array([new.values - old.values for (old, _), (new, _) in zip(pairs, pairs[1:])])
+        dF = np.array([new - old for (_, old), (_, new) in zip(pairs, pairs[1:])])
+        try:
+            cand = Field(g.grid, g.values - dG.T @ np.linalg.lstsq(dF.T, f, rcond=None)[0])
+        except np.linalg.LinAlgError:
+            return g, R_g, pairs[-1:]
+        nrm = lq_norm(cand, q)
+        if math.isfinite(nrm) and nrm > 0.0:
+            cand = _rescale(cand, nrm)
+            if (R := p_energy(cand, p)) <= R_g:
+                return cand, R, pairs
+    return g, R_g, pairs[-1:]
 
 
 def _in_hoelder_bracket(z: Field, p: float, q: float, R_w: float, slack: float) -> bool:
@@ -249,14 +256,13 @@ def inverse_iteration(cfg: SolverConfig, w0: Field | str = "default") -> EigenRe
     w, R_w = _start_iterate(cfg.grid, p, q, w0)
 
     history: list[IterationRecord] = []
-    dF: list[np.ndarray] = []  # differences of the kept residuals f_i = g_i - w_i
-    dG: list[np.ndarray] = []  # and of the kept g_i, each made once
-    f = None
+    pairs: list[tuple[Field, np.ndarray]] = []  # (g_i, f_i = g_i - w_i), oldest first
     converged = False
-    g = warm = None
     tol, loose_tol = cfg.tol_inner, _LOOSE_CAP
     for _ in range(cfg.max_outer):
         stats: dict = {}
+        # warm start near the expected fixed point z* = mu^{1/(1-p)} w
+        warm = w * (history[-1].mu ** (1.0 / (1.0 - p))) if history else None
         try:
             z = solve_inner(apply_B(w, q), p, tol, x0=warm, stats=stats,
                             loose=(loose_tol, lambda z: _in_hoelder_bracket(z, p, q, R_w, tol)))
@@ -266,28 +272,16 @@ def inverse_iteration(cfg: SolverConfig, w0: Field | str = "default") -> EigenRe
             break
         znorm = lq_norm(z, q)
         if znorm == 0.0 or not math.isfinite(znorm):
-            raise RuntimeError(
-                "inner solver returned a degenerate iterate; A(z) = B(w) has a "
-                "nonzero solution for nonzero w, so this indicates a solver bug"
-            )
+            raise RuntimeError("inner solver returned a degenerate iterate; A(z) = B(w) has a "
+                               "nonzero solution for nonzero w, so this indicates a solver bug")
         mu = znorm ** (1.0 - p)
-        g_prev, f_prev, g = g, f, _rescale(z, znorm)
-        f = g.values - w.values
-        if f_prev is not None:
-            dF = (dF + [f - f_prev])[-_ANDERSON_DEPTH:]
-            dG = (dG + [g.values - g_prev.values])[-_ANDERSON_DEPTH:]
-        w_next = g
-        R_next = R_g = p_energy(g, p)
-        cand = _anderson_candidate(g.values, f, dG, dF, cfg.grid, q) if dF else None
-        if cand is not None and (R_cand := p_energy(cand, p)) <= R_next:
-            w_next, R_next = cand, R_cand
-        else:
-            dF, dG = [], []
+        g = _rescale(z, znorm)
+        pairs.append((g, g.values - w.values))
+        R_g = p_energy(g, p)
+        w_next, R_next, pairs = _anderson_candidate(pairs, R_g, p, q)
         change = lq_norm(g - w, q)
         history.append(IterationRecord(mu, R_next, change, stats["iters"],
                                        residual(g, mu, p, q)))
-        # warm start the next solve near the expected fixed point z* = mu^{1/(1-p)} w
-        warm = w_next * (mu ** (1.0 / (1.0 - p)))
         w, R_w = w_next, R_next
         if (not stats["loose"] and len(history) > 1
                 and abs(history[-2].mu - mu) <= cfg.tol_outer * mu and change <= cfg.tol_outer):

@@ -17,7 +17,8 @@ flux weight a = (|grad z|^2 + eps^2)^{(p-2)/2} finite (p < 2) and nonzero
 (p > 2) where the gradient vanishes.  A cold start is the scaled p = 2
 solution, by the same PCG on K.  Every step assembles H as a banded matrix
 (mesh.EnergyState.hessian), solves H d = -grad J from zero by PCG with H's
-diagonal, and backtracks on J from the full step (Armijo).
+diagonal, which stops on nonpositive curvature, and backtracks on J from the
+full step (Armijo).
 For p < 2, H is first G^T diag(a(z)) G, the flux weight frozen at z: this
 is a Kacanov (lagged-diffusivity) step, the Newton step of the frozen
 weight, and as s -> s^{p/2} is concave its quadratic majorizes J, so the
@@ -67,7 +68,9 @@ def _pcg(A, b: np.ndarray, Minv: np.ndarray, tol: float,
          max_iters: int) -> tuple[np.ndarray, float, int]:
     """Conjugate gradient for the SPD system A x = b from x = 0, preconditioned
     by the diagonal inverse Minv, until the recursively updated residual r has
-    ||r|| <= tol; returns (x, ||r||, iterations).  An iteration allocates only A d."""
+    ||r|| <= tol or a direction d has d^T A d <= 0 (Steihaug 1983), as a floating
+    point singular H can give, with x so far, or Minv b if the first d fails.
+    Returns (x, ||r||, iterations).  An iteration allocates only A d."""
     x, r = np.zeros_like(b), b.copy()
     z = Minv * r
     d = z.copy()
@@ -78,7 +81,10 @@ def _pcg(A, b: np.ndarray, Minv: np.ndarray, tol: float,
         if rnorm <= tol:
             return x, rnorm, it
         Kd = A @ d
-        alpha = rz / float(np.dot(d, Kd))
+        curvature = float(np.dot(d, Kd))
+        if not curvature > 0.0:  # A is not positive along d: stop (Steihaug 1983)
+            return (x if it else d), rnorm, it
+        alpha = rz / curvature
         x += np.multiply(d, alpha, out=step)
         r -= np.multiply(Kd, alpha, out=step)
         np.multiply(Minv, r, out=z)

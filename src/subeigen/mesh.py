@@ -28,6 +28,7 @@ this reproduces the classical tridiagonal (2, -1)/h^2 stiffness.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -76,17 +77,23 @@ class Grid:
         if any(r < 1 for r in resolution):
             raise ValueError(f"resolution must be >= 1 per axis, got {resolution}")
         spacings = tuple((hi - lo) / (r + 1) for (lo, hi), r in zip(box, resolution))
-        with np.errstate(all="ignore"):  # 1/h^2 sizes the stiffness entries
-            if not all(0.0 < np.float64(h) ** -2 < np.inf for h in spacings):
-                raise ValueError(f"degenerate box {box}: every axis needs finite bounds and a "
-                                 f"spacing h with finite positive h**-2, got h = {spacings}")
+        # 1/h^2 sizes K's entries; diag K <= sum over components of 2 (sum_axis |coeff| / h)^2,
+        # and the coefficients are affine, so |coeff| peaks at a box corner
+        with np.errstate(all="ignore"):
+            inv_h2 = np.array(spacings) ** -2.0
+            volumes = np.prod(spacings), np.prod([hi - lo for lo, hi in box])
+            diag = sum(2.0 * sum(np.abs(c).max() / spacings[a] for a, c in cs) ** 2
+                       for cs in group.horizontal_terms(np.array([*itertools.product(*box)])))
+        if not (inv_h2.min() >= np.finfo(float).tiny and max(*volumes, diag, *inv_h2) < np.inf):
+            raise ValueError(f"degenerate box {box}: every axis needs finite bounds and a spacing "
+                             f"h with 1/h**2 a finite normal float, and the volumes and diag K (up "
+                             f"to {diag:.3g}) must be finite, got h = {spacings}")
         self.group = group
         self.box = box
         self.resolution = resolution
         self.spacings = spacings
         self.n_nodes = int(np.prod(resolution))
-        self.cell_volume = float(np.prod(self.spacings))
-        self.box_volume = float(np.prod([hi - lo for lo, hi in box]))
+        self.cell_volume, self.box_volume = map(float, volumes)
         # site lattice: index 0..res_j per axis (low boundary layer + interior)
         self.site_shape = tuple(r + 1 for r in resolution)
         self.n_sites = int(np.prod(self.site_shape))

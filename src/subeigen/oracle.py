@@ -3,8 +3,8 @@
 ``brute_force_lambda`` takes one of two routes, neither sharing code with
 the iterative solvers:
 
-* ``dense_eig`` (p = q = 2): assemble the dense stiffness matrix and take
-  the smallest symmetric eigenvalue -- exact up to LAPACK roundoff.
+* ``dense_eig`` (p = q = 2): the smallest eigenvalue of the dense G^T G, formed
+  from G, not by the banded assembler it checks; exact up to LAPACK roundoff.
 * ``multistart`` (any other p, q > 1): derivative-free minimization of the
   Rayleigh quotient by coordinate-wise quadratic-fit line searches from one
   positive start and ``RESTARTS`` random unit-sphere starts, merged by
@@ -113,7 +113,7 @@ def brute_force_lambda(grid: Grid, p: float, q: float, seed: int = 0) -> OracleR
             f"oracle is limited to {NODE_CAP} interior nodes, grid has {grid.n_nodes}"
         )
     if p == 2.0 and q == 2.0:
-        K = grid.stiffness_p2.toarray()
+        K = (grid.gradient_matrix.T @ grid.gradient_matrix).toarray()
         evals, evecs = scipy.linalg.eigh(K)
         u = _normalized(grid, evecs[:, 0], q)
         return OracleResult(float(evals[0]), u, "dense_eig", 0)

@@ -95,6 +95,18 @@ def test_run_rejects_bad_config(tmp_path, capsys):
             assert repr(float(box.split(",")[1])) in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("box", ["0,1e-153,0,1e-153", "0,1e160,0,1e160"])
+def test_box_beyond_the_float_range_is_one_error_line(tmp_path, capsys, box):
+    # K's diagonal, or the cell volume, leaves the float range: Grid says so
+    # before any solve, so no --out directory is made
+    out = tmp_path / "run"
+    assert main(["--group", "euclidean2", "--box", box, "--resolution", "8,8",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1 and "box" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 @pytest.mark.parametrize("q", ["200", "500", "1000", "2000"])
 def test_large_q_keeps_exit_code_contract(tmp_path, capsys, q):
     # sum |u|^q under- or overflows and the L^inf threshold leaves the float range

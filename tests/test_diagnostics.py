@@ -55,6 +55,24 @@ def test_linf_threshold_case2_arithmetic():
     assert info.k == pytest.approx(8.0 ** 6, rel=1e-12)
 
 
+@pytest.mark.parametrize("p, q, nu", [(2.0, 2.0, 2), (3.0, 2.0, 4), (3.0, 1.5, 4),
+                                      (1.5, 1.2, 4), (100.0, 2.0, 2)])
+def test_case1_is_the_one_bound_at_r_equal_p(p, q, nu):
+    # r = max(p, q) = p gives alpha = p/nu: the case-I threshold (2^p S lam)^{nu/p} ||u||_1
+    # and decay constant (lam S 2^p)^{1/(p-1)}, exponent 1 + p/(nu(p-1))
+    lam, S = 9.87, 0.3
+    info = linf_threshold(lam, S, 0.5, p, q, nu)
+    assert info.case_tag == "I" and info.alpha is None
+    assert info.k == pytest.approx((2.0 ** p * S * lam) ** (nu / p) * 0.5, rel=1e-14)
+    grid = se.build_grid("euclidean2" if nu == 2 else "heisenberg1",
+                         [(0, 1)] * (2 if nu == 2 else 3), (6,) * (2 if nu == 2 else 3))
+    u = se.Field.from_function(grid, lambda *x: 40.0 * np.prod([c * (1 - c) for c in x], axis=0))
+    const = (lam * S * 2.0 ** p) ** (1.0 / (p - 1.0))
+    for c in decay_inequality_checks(u, lam, S, p, q):
+        expected = const * c["k"] * c["measure"] ** (1.0 + p / (nu * (p - 1.0)))
+        assert c["rhs"] == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
 def test_linf_threshold_beyond_float_range_is_inf():
     # (2^q S lam)^(1/alpha) with alpha = p/q overflows for large q; 1/q must
     # not round away in alpha even at q = 1e308

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as sla
 
 import subeigen as se
+from subeigen.eigensolver import _ANDERSON_DEPTH, _anderson_candidate, normalize
 from subeigen.inner_solver import EPS
 from subeigen.mesh import EnergyState
 from conftest import chain_grid, fail_inner_solve_on_call, random_field
@@ -363,3 +364,20 @@ def test_large_p_solves_without_overflow_warnings(p):
         warnings.simplefilter("error", RuntimeWarning)
         r = se.inverse_iteration(se.SolverConfig(grid=small_square(16), p=p, q=2.0))
     assert r.converged
+
+
+def test_anderson_memory_keeps_the_last_pairs_and_restarts_to_the_newest(rng):
+    grid = small_square(6)
+    pairs = []
+    for _ in range(_ANDERSON_DEPTH + 3):
+        g = normalize(se.Field(grid, 1.0 + 0.1 * rng.random(grid.n_nodes)), 2.0)
+        pairs.append((g, 1e-3 * rng.standard_normal(grid.n_nodes)))
+    g, R_g = pairs[-1][0], se.rayleigh_quotient(pairs[-1][0], 2.0, 2.0)
+    # one pair: nothing to extrapolate
+    assert _anderson_candidate(pairs[-1:], R_g, 2.0, 2.0) == (g, R_g, pairs[-1:])
+    # a safeguard every candidate passes keeps the last _ANDERSON_DEPTH + 1 pairs
+    cand, R, kept = _anderson_candidate(pairs, np.inf, 2.0, 2.0)
+    assert kept == pairs[-_ANDERSON_DEPTH - 1:] and cand is not g
+    assert R == se.rayleigh_quotient(cand, 2.0, 2.0) and se.lq_norm(cand, 2.0) == pytest.approx(1.0)
+    # one no candidate passes restarts the memory from the newest pair
+    assert _anderson_candidate(pairs, 0.0, 2.0, 2.0) == (g, 0.0, pairs[-1:])

@@ -187,6 +187,32 @@ def test_overflowed_trial_is_never_accepted(seed):
     assert gnorm is None or np.isfinite(gnorm)
 
 
+@pytest.mark.parametrize("seed", [4, 9, 11])
+def test_large_p_solve_stops_pcg_on_nonpositive_curvature(seed):
+    # at p = 100 the Newton weight s^49 underflows where grad z ~ 0, so H is
+    # singular in floating point; PCG stops there instead of returning an
+    # ascent direction, and these solves meet their tolerance with no warning
+    grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (16, 16))
+    u0, _ = _start_iterate(grid, 100.0, 2.0, "default")
+    xi = np.random.default_rng(seed).standard_normal(grid.n_nodes)
+    f = se.Field(grid, apply_B(u0, 2.0).values * (1.0 + 1e-9 * xi))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        z = solve_inner(f, 100.0, 1e-6).values
+        grad = EnergyState(grid, z, 100.0, inner_solver.EPS).flux_divergence() - f.values
+    assert np.linalg.norm(grad) <= 1e-6 * np.linalg.norm(f.values)
+
+
+def test_pcg_stops_on_nonpositive_curvature():
+    # the first direction Minv b = (1, 0.5) has d^T A d = 0: it is returned
+    b, Minv = np.ones(2), np.array([1.0, 0.5])
+    x, rnorm, its = _pcg(np.diag([1.0, -4.0]), b, Minv, 1e-12, 10)
+    assert np.array_equal(x, Minv * b) and rnorm == np.sqrt(2.0) and its == 0
+    # the second direction (6, 12) has d^T A d = -72: the first step (2, 2) is
+    x, rnorm, its = _pcg(np.diag([2.0, -1.0]), b, np.ones(2), 1e-12, 10)
+    assert np.array_equal(x, [2.0, 2.0]) and rnorm == np.sqrt(18.0) and its == 1
+
+
 def test_energy_descent_history(rng):
     grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (5, 5))
     f = se.Field(grid, rng.standard_normal(grid.n_nodes))

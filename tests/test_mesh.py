@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,31 @@ def test_build_grid_rejects_bad_input():
                 [(-np.inf, 0), (0, 1)], [(0, np.nan), (0, 1)]):
         with pytest.raises(ValueError, match="degenerate box"):
             se.build_grid("euclidean2", box, (8, 8))
+
+
+@pytest.mark.parametrize("group, box", [
+    ("euclidean2", [(0, 1e-153)] * 2),  # every 1/h^2 finite, K's diagonal 4/h^2 not
+    ("euclidean2", [(0, 1e160)] * 2),  # the cell volume overflows
+    ("heisenberg1", [(0, 1e150)] * 3),  # the box volume overflows
+    ("heisenberg1", [(0, 1e153), (0, 1), (0, 1e-150)]),  # x/2 at the t offset does
+], ids=["E2-tiny", "E2-huge", "H1-huge", "H1-far"])
+def test_build_grid_rejects_boxes_whose_quantities_leave_the_float_range(group, box):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="degenerate box"):
+            se.build_grid(group, box, (8,) * len(box))
+
+
+@pytest.mark.parametrize("group", ["euclidean2", "heisenberg1"])
+@pytest.mark.parametrize("width", [1.6e-153, 1e-150, 1e-19, 1e25, 1e100])
+def test_accepted_box_keeps_volumes_and_stiffness_finite(group, width):
+    # the check is a bound: E2 [0,1.6e-153]^2, diag K = 1.27e308, still passes
+    dim = 2 if group == "euclidean2" else 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        grid = se.build_grid(group, [(0, width)] * dim, (8,) * dim)
+        diag = grid.stiffness_diagonal
+    assert np.isfinite([grid.cell_volume, grid.box_volume, *diag]).all() and diag.min() > 0
 
 
 def test_build_grid_rejects_fractional_resolution():

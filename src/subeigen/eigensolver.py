@@ -26,6 +26,7 @@ when the quotient of the start iterate leaves the float range.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -183,28 +184,30 @@ _LOOSE_FACTOR = 0.1
 _LOOSE_CAP = 1e-2
 
 
-def _anderson_candidate(pairs: list[tuple[Field, np.ndarray]], R_g: float, p: float,
-                        q: float) -> tuple[Field, float, list[tuple[Field, np.ndarray]]]:
-    """(next iterate, its exact quotient R, pairs to keep) from the kept pairs
-    (g_i, f_i = g_i - w_i), oldest first with (g_n, f_n) last, and R_g = R(g_n):
-    the normalized g_n - dG gamma of the last _ANDERSON_DEPTH + 1 pairs, gamma
-    the least-squares fit of f_n by the differences dF of their f_i and dG those
-    of their g_i, if finite, nonzero and R <= R_g; else g_n, restarting from it."""
-    pairs = pairs[-_ANDERSON_DEPTH - 1:]
-    g, f = pairs[-1]
-    if len(pairs) > 1:
-        dG = np.array([new.values - old.values for (old, _), (new, _) in zip(pairs, pairs[1:])])
-        dF = np.array([new - old for (_, old), (_, new) in zip(pairs, pairs[1:])])
-        try:
-            cand = Field(g.grid, g.values - dG.T @ np.linalg.lstsq(dF.T, f, rcond=None)[0])
-        except np.linalg.LinAlgError:
-            return g, R_g, pairs[-1:]
+def _anderson_candidate(memory: dict, g: Field, f: np.ndarray, R_g: float, p: float,
+                        q: float) -> tuple[Field, float]:
+    """(next iterate, its exact quotient R) from the new pair (g_n, f_n = g_n - w_n)
+    and R_g = R(g_n): the normalized g_n - dG gamma, gamma the least-squares fit of
+    f_n by dF, if finite, nonzero and R <= R_g; else g_n, restarting from it.  dG and
+    dF, the differences of the kept pairs' g_i and f_i, oldest first and at most
+    _ANDERSON_DEPTH, are made once as each pair arrives, in ``memory`` ({} at first)."""
+    if memory:  # the window moves by one difference
+        memory["dG"] = [*memory["dG"], g.values - memory["g"].values][-_ANDERSON_DEPTH:]
+        memory["dF"] = [*memory["dF"], f - memory["f"]][-_ANDERSON_DEPTH:]
+    memory.update(g=g, f=f)
+    gamma = None
+    if memory.get("dF"):
+        with contextlib.suppress(np.linalg.LinAlgError):
+            gamma = np.linalg.lstsq(np.array(memory["dF"]).T, f, rcond=None)[0]
+    if gamma is not None:
+        cand = Field(g.grid, g.values - np.array(memory["dG"]).T @ gamma)
         nrm = lq_norm(cand, q)
         if math.isfinite(nrm) and nrm > 0.0:
             cand = _rescale(cand, nrm)
             if (R := p_energy(cand, p)) <= R_g:
-                return cand, R, pairs
-    return g, R_g, pairs[-1:]
+                return cand, R
+    memory.update(dG=[], dF=[])
+    return g, R_g
 
 
 def _in_hoelder_bracket(z: Field, p: float, q: float, R_w: float, slack: float) -> bool:
@@ -256,7 +259,7 @@ def inverse_iteration(cfg: SolverConfig, w0: Field | str = "default") -> EigenRe
     w, R_w = _start_iterate(cfg.grid, p, q, w0)
 
     history: list[IterationRecord] = []
-    pairs: list[tuple[Field, np.ndarray]] = []  # (g_i, f_i = g_i - w_i), oldest first
+    anderson: dict = {}  # _anderson_candidate's memory
     converged = False
     tol, loose_tol = cfg.tol_inner, _LOOSE_CAP
     for _ in range(cfg.max_outer):
@@ -276,9 +279,8 @@ def inverse_iteration(cfg: SolverConfig, w0: Field | str = "default") -> EigenRe
                                "nonzero solution for nonzero w, so this indicates a solver bug")
         mu = znorm ** (1.0 - p)
         g = _rescale(z, znorm)
-        pairs.append((g, g.values - w.values))
         R_g = p_energy(g, p)
-        w_next, R_next, pairs = _anderson_candidate(pairs, R_g, p, q)
+        w_next, R_next = _anderson_candidate(anderson, g, g.values - w.values, R_g, p, q)
         change = lq_norm(g - w, q)
         history.append(IterationRecord(mu, R_next, change, stats["iters"],
                                        residual(g, mu, p, q)))

@@ -15,10 +15,11 @@ to z; a round that does not halve ||f - K z|| meets the rounding floor.
 Otherwise one loop minimizes J at the single eps EPS = 1e-8, which keeps the
 flux weight a = (|grad z|^2 + eps^2)^{(p-2)/2} finite (p < 2) and nonzero
 (p > 2) where the gradient vanishes.  A cold start is the scaled p = 2
-solution, by the same PCG on K.  Every step assembles H as a banded matrix
-(mesh.EnergyState.hessian), solves H d = -grad J from zero by PCG with H's
-diagonal, which stops on nonpositive curvature, and backtracks on J from the
-full step (Armijo).
+solution, by PCG on K.  Every step assembles H as a banded matrix
+(mesh.EnergyState.hessian), solves H d = -grad J from zero by PCG, which
+stops on nonpositive curvature, and backtracks on J from the full step
+(Armijo).  These PCGs apply r -> s K^{-1}(s r), s = sqrt(diag K / diag H),
+where the grid has K's exact inverse (Grid.stiffness_inverse), else H's diagonal.
 For p < 2, H is first G^T diag(a(z)) G, the flux weight frozen at z: this
 is a Kacanov (lagged-diffusivity) step, the Newton step of the frozen
 weight, and as s -> s^{p/2} is concave its quadratic majorizes J, so the
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
+from functools import partial
 
 import numpy as np
 
@@ -64,15 +66,15 @@ MAX_ITERS = 100_000
 RHO = 1e-3
 
 
-def _pcg(A, b: np.ndarray, Minv: np.ndarray, tol: float,
+def _pcg(A, b: np.ndarray, precondition: Callable[[np.ndarray, np.ndarray], object], tol: float,
          max_iters: int) -> tuple[np.ndarray, float, int]:
-    """Conjugate gradient for the SPD system A x = b from x = 0, preconditioned
-    by the diagonal inverse Minv, until the recursively updated residual r has
-    ||r|| <= tol or a direction d has d^T A d <= 0 (Steihaug 1983), as a floating
-    point singular H can give, with x so far, or Minv b if the first d fails.
-    Returns (x, ||r||, iterations).  An iteration allocates only A d."""
-    x, r = np.zeros_like(b), b.copy()
-    z = Minv * r
+    """Conjugate gradient for the SPD system A x = b from x = 0, preconditioned by
+    precondition(r, out), which writes M^{-1} r into out (Jacobi: one in-place multiply),
+    until the updated residual r has ||r|| <= tol or a direction d has d^T A d <= 0
+    (Steihaug 1983; a floating point singular H), with x so far, or M^{-1} b if the
+    first d fails.  Returns (x, ||r||, iterations); only A d and M^{-1} r allocate."""
+    x, r, z = np.zeros_like(b), b.copy(), np.empty_like(b)
+    precondition(r, z)
     d = z.copy()
     step = np.empty_like(r)
     rz = float(np.dot(r, z))
@@ -87,12 +89,21 @@ def _pcg(A, b: np.ndarray, Minv: np.ndarray, tol: float,
         alpha = rz / curvature
         x += np.multiply(d, alpha, out=step)
         r -= np.multiply(Kd, alpha, out=step)
-        np.multiply(Minv, r, out=z)
+        precondition(r, z)
         rz_new = float(np.dot(r, z))
         d *= rz_new / rz
         d += z
         rz = rz_new
     return x, math.sqrt(np.dot(r, r)), max_iters
+
+
+def _preconditioner(grid: Grid, diagonal: np.ndarray) -> Callable[[np.ndarray, np.ndarray], object]:
+    """_pcg's preconditioner for H = G^T D G of this diagonal: s K^{-1}(s r) of
+    the module docstring (Concus & Golub 1973; K^{-1} for H = K), else Jacobi."""
+    if (solve := grid.stiffness_inverse) is None:
+        return partial(np.multiply, 1.0 / diagonal)
+    s = np.sqrt(grid.stiffness_diagonal / diagonal)
+    return lambda r, out: np.multiply(s, solve(s * r), out=out)
 
 
 def _minimize(grid: Grid, fvals: np.ndarray, z: np.ndarray | None, p: float, tol_abs: float,
@@ -109,8 +120,8 @@ def _minimize(grid: Grid, fvals: np.ndarray, z: np.ndarray | None, p: float, tol
     """
     fnorm, cold = float(np.linalg.norm(fvals)), z is None
     if cold:  # K z = f to 1e-1, scaled to the minimizer of J_0 along its ray
-        z, _, _ = _pcg(grid.stiffness_p2, fvals, 1.0 / grid.stiffness_diagonal, 0.1 * fnorm,
-                       grid.n_nodes)
+        z, _, _ = _pcg(grid.stiffness_p2, fvals, _preconditioner(grid, grid.stiffness_diagonal),
+                       0.1 * fnorm, grid.n_nodes)
         z *= (np.dot(fvals, z) / EnergyState(grid, z, p, 0.0).energy()) ** (1.0 / (p - 1.0))
     state = EnergyState(grid, z, p, EPS)
     energy, fz = state.energy() / p, float(np.dot(fvals, z))
@@ -125,7 +136,8 @@ def _minimize(grid: Grid, fvals: np.ndarray, z: np.ndarray | None, p: float, tol
         kacanov = kacanov and gnorm > 1e-2 * fnorm  # once Newton, always Newton
         forcing = 0.5 if kacanov else min(0.5, np.sqrt(gnorm / fnorm))
         hessian = state.hessian(frozen=kacanov)
-        d, _, _ = _pcg(hessian, -grad, 1.0 / hessian.diagonal(), forcing * gnorm, grid.n_nodes)
+        d, _, _ = _pcg(hessian, -grad, _preconditioner(grid, hessian.diagonal()), forcing * gnorm,
+                       grid.n_nodes)
         del hessian  # freed before the next step assembles its own
         decrement = -float(np.dot(grad, d))
         noise = 64 * np.finfo(float).eps * (abs(energy) + abs(fz))
@@ -195,7 +207,7 @@ def solve_inner(f: Field, p: float, tol: float, x0: Field | None = None,
             gnorm, last, iters = math.sqrt(np.dot(r, r)), math.inf, 0
             # stop on tol, on MAX_ITERS or on a round that did not halve the residual
             while stage_tol * fnorm < gnorm <= 0.5 * last and iters < MAX_ITERS:
-                d, _, its = _pcg(K32, (r / gnorm).astype(np.float32), Minv32,
+                d, _, its = _pcg(K32, (r / gnorm).astype(np.float32), partial(np.multiply, Minv32),
                                  max(RHO, stage_tol * fnorm / gnorm), MAX_ITERS - iters)
                 iters += its
                 z += gnorm / scale * d.astype(float)

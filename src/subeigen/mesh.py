@@ -18,7 +18,9 @@ its in-row order, and with it the rounding of every product, is fixed here.
 Grid.stiffness builds G^T D G from the same stencil as a banded DIA matrix
 for the per-site blocks D_kl it is given: K = G^T G without blocks, equal to
 the CSR product to the bit (its float32 form is scaled by a power of two),
-and the Kacanov operator and Newton Hessian from EnergyState.hessian.
+and the Kacanov operator and Newton Hessian from EnergyState.hessian.  Where
+K is a sum of 1D Dirichlet Laplacians (euclidean2), Grid.stiffness_inverse
+applies K^{-1} exactly by the sine transform.
 
 Field is the one node-value type, and horizontal_gradient(u) is G u as an
 (n1, n_sites) array.  p_energy is exact; its kernel EnergyState also takes
@@ -29,6 +31,7 @@ this reproduces the classical tridiagonal (2, -1)/h^2 stiffness.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -233,6 +236,29 @@ class Grid:
         scale = 2.0 ** min(int(np.frexp(self.stiffness_diagonal.max())[1]), 1023)
         return (self.stiffness_p2.multiply(1.0 / scale).astype(np.float32),
                 (scale / self.stiffness_diagonal).astype(np.float32), scale)
+
+    @cached_property
+    def stiffness_inverse(self) -> Callable[[np.ndarray], np.ndarray] | None:
+        """v -> K^{-1} v, built on first use; None unless every horizontal component
+        reads one axis with a constant coefficient c.  K is then the sum of c^2 times the
+        1D Dirichlet Laplacian (2, -1)/h^2 of each axis read, which the orthonormal sine
+        matrix S_ij = sqrt(2/(n+1)) sin(pi i j/(n+1)) diagonalizes (Swarztrauber 1977):
+        K^{-1} v = S (S v / Lambda), S along every axis, Lambda this sum's eigenvalues."""
+        components = self.group.horizontal_terms(self.site_coordinates)
+        if not all(len(terms) == 1 and np.ptp(terms[0][1]) == 0.0 for terms in components):
+            return None
+        n, j = self.resolution, np.indices(self.resolution).reshape(len(self.resolution), -1) + 1
+        half = sum(2.0 * (c[0] * np.sin(np.pi * j[a] / (2 * n[a] + 2)) / self.spacings[a]) ** 2
+                   for [(a, c)] in components)  # Lambda / 2 <= diag K: in range on every grid
+        k = np.arange(1, max(n) + 1)  # i j reduced mod 2(n+1) in integers: S exact to rounding
+        sines = [np.sqrt(2 / (m + 1))
+                 * np.sin(np.pi * (k[:m, None] * k[:m] % (2 * m + 2)) / (m + 1)) for m in n]
+
+        def transform(v):  # S along every axis, node order kept
+            for S in sines:
+                v = (S @ v.reshape(len(S), -1)).T  # transforms the leading axis, moves it last
+            return v.ravel()
+        return lambda v: 0.5 * transform(transform(v) / half)
 
     @cached_property
     def gradient_transpose(self) -> sp.csr_matrix:

@@ -372,12 +372,23 @@ def test_anderson_memory_keeps_the_last_pairs_and_restarts_to_the_newest(rng):
     for _ in range(_ANDERSON_DEPTH + 3):
         g = normalize(se.Field(grid, 1.0 + 0.1 * rng.random(grid.n_nodes)), 2.0)
         pairs.append((g, 1e-3 * rng.standard_normal(grid.n_nodes)))
-    g, R_g = pairs[-1][0], se.rayleigh_quotient(pairs[-1][0], 2.0, 2.0)
+    g, f = pairs[-1]
+    R_g = se.rayleigh_quotient(g, 2.0, 2.0)
     # one pair: nothing to extrapolate
-    assert _anderson_candidate(pairs[-1:], R_g, 2.0, 2.0) == (g, R_g, pairs[-1:])
-    # a safeguard every candidate passes keeps the last _ANDERSON_DEPTH + 1 pairs
-    cand, R, kept = _anderson_candidate(pairs, np.inf, 2.0, 2.0)
-    assert kept == pairs[-_ANDERSON_DEPTH - 1:] and cand is not g
+    memory: dict = {}
+    assert _anderson_candidate(memory, g, f, R_g, 2.0, 2.0) == (g, R_g)
+    # a safeguard every candidate passes keeps the differences of the last
+    # _ANDERSON_DEPTH + 1 pairs, each made once when its pair arrived
+    memory = {}
+    for g_i, f_i in pairs:
+        cand, R = _anderson_candidate(memory, g_i, f_i, np.inf, 2.0, 2.0)
+    kept = pairs[-_ANDERSON_DEPTH - 1:]
+    assert len(memory["dG"]) == len(memory["dF"]) == _ANDERSON_DEPTH
+    for (old, f_old), (new, f_new), dg, df in zip(kept, kept[1:], memory["dG"], memory["dF"]):
+        assert np.array_equal(dg, new.values - old.values) and np.array_equal(df, f_new - f_old)
+    assert cand is not g
     assert R == se.rayleigh_quotient(cand, 2.0, 2.0) and se.lq_norm(cand, 2.0) == pytest.approx(1.0)
     # one no candidate passes restarts the memory from the newest pair
-    assert _anderson_candidate(pairs, 0.0, 2.0, 2.0) == (g, 0.0, pairs[-1:])
+    g_next = normalize(se.Field(grid, 1.0 + 0.1 * rng.random(grid.n_nodes)), 2.0)
+    assert _anderson_candidate(memory, g_next, f, 0.0, 2.0, 2.0) == (g_next, 0.0)
+    assert memory["g"] is g_next and memory["dG"] == memory["dF"] == []

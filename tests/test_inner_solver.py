@@ -1,5 +1,6 @@
 import time
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -112,7 +113,7 @@ def test_pcg_work_vectors_change_no_bit(seed):
     K = Q @ Q.T + np.diag(rng.uniform(0.1, 10.0, n)) * n
     b, Minv = rng.standard_normal(n), 1.0 / np.diag(K)
     for tol, max_iters in ((1e-10 * np.linalg.norm(b), 10 * n), (0.0, 3)):
-        x, res, its = _pcg(K, b, Minv, tol, max_iters)
+        x, res, its = _pcg(K, b, partial(np.multiply, Minv), tol, max_iters)
         x_ref, res_ref, its_ref = allocating_pcg(lambda v: K @ v, b, Minv, np.zeros(n), tol,
                                                  max_iters)
         assert x.tobytes() == x_ref.tobytes()
@@ -206,11 +207,30 @@ def test_large_p_solve_stops_pcg_on_nonpositive_curvature(seed):
 def test_pcg_stops_on_nonpositive_curvature():
     # the first direction Minv b = (1, 0.5) has d^T A d = 0: it is returned
     b, Minv = np.ones(2), np.array([1.0, 0.5])
-    x, rnorm, its = _pcg(np.diag([1.0, -4.0]), b, Minv, 1e-12, 10)
+    x, rnorm, its = _pcg(np.diag([1.0, -4.0]), b, partial(np.multiply, Minv), 1e-12, 10)
     assert np.array_equal(x, Minv * b) and rnorm == np.sqrt(2.0) and its == 0
     # the second direction (6, 12) has d^T A d = -72: the first step (2, 2) is
-    x, rnorm, its = _pcg(np.diag([2.0, -1.0]), b, np.ones(2), 1e-12, 10)
+    x, rnorm, its = _pcg(np.diag([2.0, -1.0]), b, partial(np.multiply, np.ones(2)), 1e-12, 10)
     assert np.array_equal(x, [2.0, 2.0]) and rnorm == np.sqrt(18.0) and its == 1
+
+
+@pytest.mark.parametrize("p, q", [(3.0, 3.0), (1.5, 2.0)])
+def test_euclidean_pcg_iterations_do_not_grow_with_the_grid(monkeypatch, p, q):
+    # K's exact inverse, scaled by each operator's diagonal, preconditions
+    # every p != 2 PCG on euclidean2; Jacobi took up to 107 (p = 3) and 113
+    # (p = 1.5) iterations in one call at 64^2
+    iterations = []
+
+    def counted(*args):
+        result = _pcg(*args)
+        iterations.append(result[2])
+        return result
+
+    monkeypatch.setattr(inner_solver, "_pcg", counted)
+    for n in (16, 32, 64):
+        grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (n, n))
+        assert se.inverse_iteration(se.SolverConfig(grid, p, q)).converged
+    assert iterations and max(iterations) <= 12
 
 
 def test_energy_descent_history(rng):

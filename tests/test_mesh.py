@@ -442,3 +442,23 @@ def test_gradient_transpose_is_cached_csr(grid):
         state = EnergyState(grid, z, p, 1e-3)
         ref = G.T @ (state.s ** ((p - 2) / 2) * state.g).ravel()
         assert np.max(np.abs(state.flux_divergence() - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("box, resolution", [([(0, 1), (0, 1)], (8, 8)),
+                                             ([(0, 2), (-1, 0.5)], (31, 17)),
+                                             ([(0, 1), (0, 1)], (1, 5)),
+                                             ([(0, 1), (0, 1)], (2, 3))])
+def test_stiffness_inverse_is_exact_on_euclidean_grids(box, resolution):
+    grid = se.build_grid("euclidean2", box, resolution)
+    grid.stiffness_diagonal
+    assert "stiffness_inverse" not in vars(grid)  # built on first use only
+    K, eye = grid.stiffness_p2.toarray(), np.eye(grid.n_nodes)
+    X = np.column_stack([grid.stiffness_inverse(e) for e in eye])
+    assert np.max(np.abs(X @ K - eye)) <= 1e-12
+    assert np.max(np.abs(K @ X - eye)) <= 1e-12
+
+
+@pytest.mark.parametrize("resolution", [(3, 3, 3), (5, 4, 6)])
+def test_heisenberg_grids_have_no_stiffness_inverse(resolution):
+    # its horizontal fields read t with coefficients that vary in x and y
+    assert se.build_grid("heisenberg1", [(0, 1)] * 3, resolution).stiffness_inverse is None

@@ -5,21 +5,21 @@ The subproblem behind one inverse-iteration step asks for the unique z with
     <A(z), v> = <f, v>   for all v,
 
 i.e. the minimizer of J(z) = (1/p) E_eps(z) - <f, z>, E_eps mesh.EnergyState's energy.
-solve_inner is the one entry point for every p.  At p = 2 the operator is
-the assembled linear SPD stiffness K = G^T G, the grid's banded DIA matrix,
-and the solve is a float64 defect correction (Carson & Higham 2018): each
-round solves K d = f - K z to RHO relative by Jacobi preconditioned conjugate
-gradient (PCG) in float32, on Grid.stiffness_p2_float32's K / 2^k (2^k a
-power of two that keeps K in the float32 range and moves no bit), and adds d
-to z; a round that does not halve ||f - K z|| meets the rounding floor.
-Otherwise one loop minimizes J at the single eps EPS = 1e-8, which keeps the
-flux weight a = (|grad z|^2 + eps^2)^{(p-2)/2} finite (p < 2) and nonzero
-(p > 2) where the gradient vanishes.  A cold start is the scaled p = 2
-solution, by PCG on K.  Every step assembles H as a banded matrix
-(mesh.EnergyState.hessian), solves H d = -grad J from zero by PCG, which
-stops on nonpositive curvature, and backtracks on J from the full step
-(Armijo).  These PCGs apply r -> s K^{-1}(s r), s = sqrt(diag K / diag H),
-where the grid has K's exact inverse (Grid.stiffness_inverse), else H's diagonal.
+solve_inner is the one entry point for every p.  At p = 2 the operator is the
+assembled linear SPD stiffness K = G^T G, the grid's banded DIA matrix, and the
+solve is a float64 defect correction (Carson & Higham 2018): each round solves
+K d = f - K z to RHO relative by preconditioned conjugate gradient (PCG) in
+float32, on Grid.stiffness_p2_float32's K / 2^k (2^k a power of two that keeps
+K in the float32 range and moves no bit), and adds d to z; a round that does
+not halve ||f - K z|| meets the rounding floor.  Otherwise one loop minimizes J
+at the single eps EPS = 1e-8, which keeps the flux weight a = (|grad z|^2 +
+eps^2)^{(p-2)/2} finite (p < 2) and nonzero (p > 2) where the gradient
+vanishes.  A cold start is the scaled p = 2 solution, by PCG on K.  Every step
+assembles H as a banded matrix (mesh.EnergyState.hessian), solves H d = -grad J
+from zero by PCG, which stops on nonpositive curvature, and backtracks on J
+from the full step (Armijo).  Every PCG, on K / 2^k, K or a step's H, applies
+_preconditioner's r -> s K^{-1}(s r), s = sqrt(diag K / diag H), where the grid
+has K's exact inverse (Grid.stiffness_inverse), else Jacobi on H's diagonal.
 For p < 2, H is first G^T diag(a(z)) G, the flux weight frozen at z: this
 is a Kacanov (lagged-diffusivity) step, the Newton step of the frozen
 weight, and as s -> s^{p/2} is concave its quadratic majorizes J, so the
@@ -98,8 +98,8 @@ def _pcg(A, b: np.ndarray, precondition: Callable[[np.ndarray, np.ndarray], obje
 
 
 def _preconditioner(grid: Grid, diagonal: np.ndarray) -> Callable[[np.ndarray, np.ndarray], object]:
-    """_pcg's preconditioner for H = G^T D G of this diagonal: s K^{-1}(s r) of
-    the module docstring (Concus & Golub 1973; K^{-1} for H = K), else Jacobi."""
+    """Every _pcg's preconditioner, for H = G^T D G of this diagonal in any dtype: s K^{-1}(s r)
+    of the module docstring (Concus & Golub 1973; 2^k K^{-1} for K / 2^k), else Jacobi."""
     if (solve := grid.stiffness_inverse) is None:
         return partial(np.multiply, 1.0 / diagonal)
     s = np.sqrt(grid.stiffness_diagonal / diagonal)
@@ -202,12 +202,13 @@ def solve_inner(f: Field, p: float, tol: float, x0: Field | None = None,
         final = stage_tol <= tol * (1.0 + 1e-9)  # a decade on tol up to rounding is final
         stage_tol = tol if final else stage_tol
         if p == 2.0:  # float32 PCG rounds on (K / 2^k) d = r / ||r||, r = f - K z in float64
-            K32, Minv32, scale = grid.stiffness_p2_float32
+            K32, scale = grid.stiffness_p2_float32
+            precondition = _preconditioner(grid, K32.diagonal())
             r = fvals - grid.stiffness_p2 @ z
             gnorm, last, iters = math.sqrt(np.dot(r, r)), math.inf, 0
             # stop on tol, on MAX_ITERS or on a round that did not halve the residual
             while stage_tol * fnorm < gnorm <= 0.5 * last and iters < MAX_ITERS:
-                d, _, its = _pcg(K32, (r / gnorm).astype(np.float32), partial(np.multiply, Minv32),
+                d, _, its = _pcg(K32, (r / gnorm).astype(np.float32), precondition,
                                  max(RHO, stage_tol * fnorm / gnorm), MAX_ITERS - iters)
                 iters += its
                 z += gnorm / scale * d.astype(float)

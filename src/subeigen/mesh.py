@@ -229,13 +229,12 @@ class Grid:
         return self.stiffness()
 
     @cached_property
-    def stiffness_p2_float32(self) -> tuple[sp.dia_matrix, np.ndarray, float]:
-        """(K / 2^k and 2^k / diag K in float32, and 2^k), K = stiffness_p2 and
-        2^k <= 2^1023 the power of two just above its largest diagonal entry: the
-        p = 2 rounds' matrix and Jacobi inverse, in the float32 range on every box."""
+    def stiffness_p2_float32(self) -> tuple[sp.dia_matrix, float]:
+        """(K / 2^k in float32, 2^k), K = stiffness_p2 and 2^k <= 2^1023 the power of
+        two just above its largest diagonal entry: the p = 2 rounds' matrix, in the
+        float32 range on every box."""
         scale = 2.0 ** min(int(np.frexp(self.stiffness_diagonal.max())[1]), 1023)
-        return (self.stiffness_p2.multiply(1.0 / scale).astype(np.float32),
-                (scale / self.stiffness_diagonal).astype(np.float32), scale)
+        return self.stiffness_p2.multiply(1.0 / scale).astype(np.float32), scale
 
     @cached_property
     def stiffness_inverse(self) -> Callable[[np.ndarray], np.ndarray] | None:

@@ -41,14 +41,16 @@ def test_rayleigh_quotient_chain_minimum():
 
 
 def test_inverse_iteration_square_anchor():
-    cfg = se.SolverConfig(grid=small_square(24), p=2.0, q=2.0)
-    r = se.inverse_iteration(cfg)
-    # exact discrete 5-point eigenvalue: per-axis (2 - 2 cos(pi h))/h^2
-    h = 1.0 / 25
-    lam_h = 2 * (2 - 2 * np.cos(np.pi * h)) / h ** 2
-    assert r.converged
-    assert r.lambda_hat == pytest.approx(lam_h, rel=1e-8)
-    assert r.lambda_hat == pytest.approx(TWO_PI_SQ, rel=0.01)
+    # exact discrete 5-point eigenvalue: sum over axes of (2 - 2 cos(pi h / L))/h^2
+    for box, res in (([(0, 1), (0, 1)], (24, 24)), ([(0, 2), (-1, 0.5)], (31, 17)),
+                     ([(0, 1e-19), (0, 1e-19)], (8, 8))):
+        r = se.inverse_iteration(se.SolverConfig(se.build_grid("euclidean2", box, res), 2.0, 2.0))
+        lam_h = sum((2 - 2 * np.cos(np.pi / (n + 1))) * ((n + 1) / (hi - lo)) ** 2
+                    for (lo, hi), n in zip(box, res))
+        assert r.converged
+        assert r.lambda_hat == pytest.approx(lam_h, rel=1e-12)
+        if res == (24, 24):
+            assert r.lambda_hat == pytest.approx(TWO_PI_SQ, rel=0.01)
 
 
 def test_inverse_iteration_traces_monotone():

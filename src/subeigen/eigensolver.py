@@ -34,7 +34,7 @@ import numpy as np
 
 from .groups import check_regime
 from .inner_solver import ConvergenceError, solve_inner
-from .mesh import Field, Grid, lq_norm, p_energy
+from .mesh import EnergyState, Field, Grid, lq_norm, p_energy
 from .operators import apply_B, residual
 
 __all__ = [
@@ -279,11 +279,11 @@ def inverse_iteration(cfg: SolverConfig, w0: Field | str = "default") -> EigenRe
                                "nonzero solution for nonzero w, so this indicates a solver bug")
         mu = znorm ** (1.0 - p)
         g = _rescale(z, znorm)
-        R_g = p_energy(g, p)
+        R_g = (state := EnergyState(g.grid, g.values, p, 0.0)).energy() * g.grid.cell_volume
         w_next, R_next = _anderson_candidate(anderson, g, g.values - w.values, R_g, p, q)
         change = lq_norm(g - w, q)
         history.append(IterationRecord(mu, R_next, change, stats["iters"],
-                                       residual(g, mu, p, q)))
+                                       residual(g, mu, p, q, state)))
         w, R_w = w_next, R_next
         if (not stats["loose"] and len(history) > 1
                 and abs(history[-2].mu - mu) <= cfg.tol_outer * mu and change <= cfg.tol_outer):

@@ -18,8 +18,8 @@ vanishes.  A cold start is the scaled p = 2 solution, by PCG on K.  Every step
 assembles H as a banded matrix (mesh.EnergyState.hessian), solves H d = -grad J
 from zero by PCG, which stops on nonpositive curvature, and backtracks on J
 from the full step (Armijo).  Every PCG, on K / 2^k, K or a step's H, applies
-_preconditioner's r -> s K^{-1}(s r), s = sqrt(diag K / diag H), where the grid
-has K's exact inverse (Grid.stiffness_inverse), else Jacobi on H's diagonal.
+_preconditioner's r -> s M^{-1}(s r), s = sqrt(diag K / diag H), M^{-1} the
+exact inverse of K's separable part M (Grid.separable_inverse; M = K on E2).
 For p < 2, H is first G^T diag(a(z)) G, the flux weight frozen at z: this
 is a Kacanov (lagged-diffusivity) step, the Newton step of the frozen
 weight, and as s -> s^{p/2} is concave its quadratic majorizes J, so the
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from functools import partial
 
 import numpy as np
 
@@ -69,7 +68,7 @@ RHO = 1e-3
 def _pcg(A, b: np.ndarray, precondition: Callable[[np.ndarray, np.ndarray], object], tol: float,
          max_iters: int) -> tuple[np.ndarray, float, int]:
     """Conjugate gradient for the SPD system A x = b from x = 0, preconditioned by
-    precondition(r, out), which writes M^{-1} r into out (Jacobi: one in-place multiply),
+    precondition(r, out), which writes M^{-1} r into out,
     until the updated residual r has ||r|| <= tol or a direction d has d^T A d <= 0
     (Steihaug 1983; a floating point singular H), with x so far, or M^{-1} b if the
     first d fails.  Returns (x, ||r||, iterations); only A d and M^{-1} r allocate."""
@@ -97,13 +96,11 @@ def _pcg(A, b: np.ndarray, precondition: Callable[[np.ndarray, np.ndarray], obje
     return x, math.sqrt(np.dot(r, r)), max_iters
 
 
-def _preconditioner(grid: Grid, diagonal: np.ndarray) -> Callable[[np.ndarray, np.ndarray], object]:
-    """Every _pcg's preconditioner, for H = G^T D G of this diagonal in any dtype: s K^{-1}(s r)
-    of the module docstring (Concus & Golub 1973; 2^k K^{-1} for K / 2^k), else Jacobi."""
-    if (solve := grid.stiffness_inverse) is None:
-        return partial(np.multiply, 1.0 / diagonal)
-    s = np.sqrt(grid.stiffness_diagonal / diagonal)
-    return lambda r, out: np.multiply(s, solve(s * r), out=out)
+def _preconditioner(grid: Grid, diagonal: np.ndarray, scale: float = 1.0) -> Callable:
+    """Every _pcg's preconditioner, for H = G^T D G / scale of this diagonal, in its dtype: the
+    module docstring's s M^{-1}(s r) (Concus & Golub 1973) as s' (M / scale)^{-1}(s' r), s' ~ 1."""
+    s = np.sqrt(grid.stiffness_diagonal / scale / diagonal).astype(diagonal.dtype)
+    return lambda r, out: np.multiply(s, grid.separable_inverse(s * r, scale), out=out)
 
 
 def _minimize(grid: Grid, fvals: np.ndarray, z: np.ndarray | None, p: float, tol_abs: float,
@@ -203,7 +200,7 @@ def solve_inner(f: Field, p: float, tol: float, x0: Field | None = None,
         stage_tol = tol if final else stage_tol
         if p == 2.0:  # float32 PCG rounds on (K / 2^k) d = r / ||r||, r = f - K z in float64
             K32, scale = grid.stiffness_p2_float32
-            precondition = _preconditioner(grid, K32.diagonal())
+            precondition = _preconditioner(grid, K32.diagonal(), scale)
             r = fvals - grid.stiffness_p2 @ z
             gnorm, last, iters = math.sqrt(np.dot(r, r)), math.inf, 0
             # stop on tol, on MAX_ITERS or on a round that did not halve the residual

@@ -18,9 +18,9 @@ its in-row order, and with it the rounding of every product, is fixed here.
 Grid.stiffness builds G^T D G from the same stencil as a banded DIA matrix
 for the per-site blocks D_kl it is given: K = G^T G without blocks, equal to
 the CSR product to the bit (its float32 form is scaled by a power of two),
-and the Kacanov operator and Newton Hessian from EnergyState.hessian.  Where
-K is a sum of 1D Dirichlet Laplacians (euclidean2), Grid.stiffness_inverse
-applies K^{-1} exactly by the sine transform.
+and the Kacanov operator and Newton Hessian from EnergyState.hessian.
+Grid.separable_inverse applies M^{-1} exactly by the sine transform for the
+separable part M = sum_a w_a L_a of K (L_a axis a's 1D Laplacian; M = K on E2).
 
 Field is the one node-value type, and horizontal_gradient(u) is G u as an
 (n1, n_sites) array.  p_energy is exact; its kernel EnergyState also takes
@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -100,6 +100,7 @@ class Grid:
         # site lattice: index 0..res_j per axis (low boundary layer + interior)
         self.site_shape = tuple(r + 1 for r in resolution)
         self.n_sites = int(np.prod(self.site_shape))
+        self._stiffness_plans: dict = {}  # Grid.stiffness's work, per block set
 
     def _key(self):
         return (self.group.name, self.box, self.resolution)
@@ -190,38 +191,49 @@ class Grid:
         """G^T D G on node values (volume weight excluded) as a banded DIA
         matrix built from ``gradient_stencil``, for the per-site block D given
         by ``blocks``, which maps each nonzero block (k, l) to its site weights
-        D_kl (EnergyState.hessian forms them); D = I when blocks is None.
+        D_kl = D_lk (EnergyState.hessian forms them); D = I when blocks is None.
 
         Each block D_kl, in the map's order, adds for each pair of offsets
-        (o, o') of components k and l the site products c_k,o D_kl c_l,o'
-        into the diagonal of the node offset o' - o.  At D = I, with o
-        descending every entry sums its sites in ascending order, and
-        lattice offsets that meet on one node offset (an axis with 1 or 2
-        nodes) have disjoint supports, so K, and K @ v with its ascending
-        diagonals, equal those of the CSR product G^T G bit for bit.
-        """
-        strides = [int(np.prod(self.resolution[j + 1:])) for j in range(len(self.resolution))]
-        stencil = self.gradient_stencil
+        (o, o') of components k and l with node offset o' - o >= 0 the site
+        products c_k,o D_kl c_l,o' into that diagonal; the diagonal -d copies d,
+        so G^T D G is exactly symmetric.  At D = I, with o descending every
+        entry sums its sites in ascending order, and lattice offsets that meet
+        on one node offset (an axis with 1 or 2 nodes) have disjoint supports,
+        so K, and K @ v with its ascending diagonals, equal the CSR G^T G's to the bit."""
         if blocks is None:
             blocks = dict.fromkeys((k, k) for k in range(self.group.horizontal_dim))
+        if (keys := tuple(blocks)) not in self._stiffness_plans:  # once per grid and block set
+            self._stiffness_plans[keys] = self._stiffness_plan(keys)
+        offsets, plan = self._stiffness_plans[keys]
+        data = np.zeros((len(offsets), self.n_nodes))
+        diagonals = data.reshape(len(offsets), *self.resolution)
+        weighted, term = np.empty(self.resolution), np.empty(self.resolution)
+        for key, d_kl in blocks.items():
+            for at, c2, products in plan[key]:  # DIA stores column j = node s + o' at data[:, j]
+                right = c2 if d_kl is None else \
+                    np.multiply(d_kl.reshape(self.site_shape)[at], c2, out=weighted)
+                for i, c in products:
+                    diagonals[i] += np.multiply(c, right, out=term)
+        for i, d in enumerate(offsets[:len(offsets) // 2]):  # offsets are symmetric: -d at -1 - i
+            data[i, :self.n_nodes + d] = data[-1 - i, -d:]
+        return sp.dia_matrix((data, offsets), shape=(self.n_nodes, self.n_nodes))
+
+    def _stiffness_plan(self, keys):
+        """``stiffness``'s sorted node offsets for the blocks ``keys`` and, per block (k, l)
+        and offset o', the sites reading o', c_l,o' there and each (diagonal, c_k,o there)."""
+        strides = [int(np.prod(self.resolution[j + 1:])) for j in range(len(self.resolution))]
+        stencil = self.gradient_stencil
 
         def node_offset(o, o2):
             return sum((y - x) * st for x, y, st in zip(o, o2, strides))
 
-        offsets = sorted({node_offset(o, o2) for k, l in blocks
+        offsets = sorted({node_offset(o, o2) for k, l in keys
                           for o in stencil[k] for o2 in stencil[l]})
-        row = {k: i for i, k in enumerate(offsets)}
-        data = np.zeros((len(offsets), self.n_nodes))
-        diagonals = data.reshape(len(offsets), *self.resolution)
-        weighted, term = np.empty(self.resolution), np.empty(self.resolution)
-        for (k, l), d_kl in blocks.items():
-            for o2, c2 in stencil[l].items():  # DIA stores column j = node s + o2 at data[:, j]
-                at = self._sites_reading(o2)
-                right = c2[at] if d_kl is None else \
-                    np.multiply(d_kl.reshape(self.site_shape)[at], c2[at], out=weighted)
-                for o, c in stencil[k].items():
-                    diagonals[row[node_offset(o, o2)]] += np.multiply(c[at], right, out=term)
-        return sp.dia_matrix((data, offsets), shape=(self.n_nodes, self.n_nodes))
+        row = {d: i for i, d in enumerate(offsets)}
+        return offsets, {(k, l): [(at, c2[at], [(row[d], c[at]) for o, c in stencil[k].items()
+                                               if (d := node_offset(o, o2)) >= 0])
+                                  for o2, c2 in stencil[l].items()
+                                  for at in [self._sites_reading(o2)]] for k, l in keys}
 
     @cached_property
     def stiffness_p2(self) -> sp.dia_matrix:
@@ -237,27 +249,32 @@ class Grid:
         return self.stiffness_p2.multiply(1.0 / scale).astype(np.float32), scale
 
     @cached_property
-    def stiffness_inverse(self) -> Callable[[np.ndarray], np.ndarray] | None:
-        """v -> K^{-1} v, built on first use; None unless every horizontal component
-        reads one axis with a constant coefficient c.  K is then the sum of c^2 times the
-        1D Dirichlet Laplacian (2, -1)/h^2 of each axis read, which the orthonormal sine
-        matrix S_ij = sqrt(2/(n+1)) sin(pi i j/(n+1)) diagonalizes (Swarztrauber 1977):
-        K^{-1} v = S (S v / Lambda), S along every axis, Lambda this sum's eigenvalues."""
-        components = self.group.horizontal_terms(self.site_coordinates)
-        if not all(len(terms) == 1 and np.ptp(terms[0][1]) == 0.0 for terms in components):
-            return None
-        n, j = self.resolution, np.indices(self.resolution).reshape(len(self.resolution), -1) + 1
-        half = sum(2.0 * (c[0] * np.sin(np.pi * j[a] / (2 * n[a] + 2)) / self.spacings[a]) ** 2
-                   for [(a, c)] in components)  # Lambda / 2 <= diag K: in range on every grid
+    def separable_inverse(self) -> Callable[..., np.ndarray]:
+        """(v, scale = 1) -> (M / scale)^{-1} v in v's dtype, built on first use: M = sum_a w_a L_a,
+        L_a axis a's 1D Dirichlet Laplacian (2, -1)/h_a^2, w_a the site mean, summed over
+        components, of the squared coefficient reading axis a.  Orthonormal sine matrices S_ij =
+        sqrt(2/(n+1)) sin(pi i j/(n+1)) diagonalize the L_a (Swarztrauber 1977): M^{-1} v = S (S v
+        / Lambda), S along every axis; Lambda / 2^k, for K / 2^k, is in the float32 range."""
+        n, N = self.resolution, len(self.resolution)
+        w = np.zeros(N)
+        for axis, coeff in itertools.chain(*self.group.horizontal_terms(self.site_coordinates)):
+            w[axis] += np.mean(coeff * coeff)
+        # Lambda / 2, at most the bound on diag K of __init__: in range on every grid
+        half = sum((2.0 * w[a] * (np.sin(np.pi * np.arange(1, m + 1) / (2 * m + 2)) / h) ** 2)
+                   .reshape([m if b == a else 1 for b in range(N)])
+                   for a, (m, h) in enumerate(zip(n, self.spacings))).ravel()
         k = np.arange(1, max(n) + 1)  # i j reduced mod 2(n+1) in integers: S exact to rounding
         sines = [np.sqrt(2 / (m + 1))
                  * np.sin(np.pi * (k[:m, None] * k[:m] % (2 * m + 2)) / (m + 1)) for m in n]
+        sines = {np.dtype(t): [S.astype(t) for S in sines] for t in (np.float64, np.float32)}
+        trails = [int(np.prod(n[a + 1:])) for a in range(N)]
+        eigenvalues = cache(lambda dtype, scale: (half / scale).astype(dtype))  # Lambda / (2 scale)
 
-        def transform(v):  # S along every axis, node order kept
-            for S in sines:
-                v = (S @ v.reshape(len(S), -1)).T  # transforms the leading axis, moves it last
+        def transform(v):  # S along each axis of a (lead, n_a, trail) view, in node order
+            for S, trail in zip(sines[v.dtype], trails):
+                v = v.reshape(-1, len(S)) @ S.T if trail == 1 else S @ v.reshape(-1, len(S), trail)
             return v.ravel()
-        return lambda v: 0.5 * transform(transform(v) / half)
+        return lambda v, scale=1.0: 0.5 * transform(transform(v) / eigenvalues(v.dtype, scale))
 
     @cached_property
     def gradient_transpose(self) -> sp.csr_matrix:

@@ -47,17 +47,17 @@ def pairing(d: Field, w: Field) -> float:
     return float(np.dot(d.values, w.values) * d.grid.cell_volume)
 
 
-def residual(u: Field, lam: float, p: float, q: float) -> float:
+def residual(u: Field, lam: float, p: float, q: float, state: EnergyState | None = None) -> float:
     """Eigenpair certificate: worst pairing defect over node-basis test fields.
 
     Computes max_i |<A(u) - lam ||u||_q^{p-q} B(u), e_i>| normalized by
     p_energy(u, p)^{(p-1)/p}.  Zero exactly when (lam, u) solves the discrete
     weak eigenvalue identity; invariant under rescaling of u.  A(u) and the
-    energy come from one exact EnergyState, so u's gradient is taken once.
+    energy come from one exact EnergyState of u, ``state`` when the caller has it.
     """
     if not np.any(u.values):
         raise ValueError("eigenpair residual is undefined for the zero field")
-    state = EnergyState(u.grid, u.values, p, 0.0)
+    state = state or EnergyState(u.grid, u.values, p, 0.0)
     defect = state.flux_divergence() - lam * lq_norm(u, q) ** (p - q) * apply_B(u, q).values
     worst = float(np.max(np.abs(defect)) * u.grid.cell_volume)
     return worst / (state.energy() * u.grid.cell_volume) ** ((p - 1.0) / p)

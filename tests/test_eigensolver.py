@@ -302,6 +302,13 @@ def test_p2_eigenvalue_on_a_box_whose_stiffness_leaves_the_float32_range():
         for L in (1.0, width))
     assert tiny.converged
     assert tiny.lambda_hat * width ** 2 == pytest.approx(unit.lambda_hat, rel=1e-8)
+    # heisenberg1 on boxes whose K leaves the float32 range from below and from above:
+    # the rounds' preconditioner divides by M's eigenvalues over the power of two of K
+    for width in (1e-19, 1e25):
+        grid = se.build_grid("heisenberg1", [(0, width)] * 3, (8, 8, 8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert se.inverse_iteration(se.SolverConfig(grid=grid, p=2.0, q=2.0)).converged
 
 
 def test_solver_config_validation(unit_square):

@@ -158,15 +158,22 @@ def test_p2_solve_scales_outside_the_float32_range(rng, scale):
 
 
 @pytest.mark.parametrize("width", [1e-19, 1e-21, 1e21, 1e25, 1.6e-153])
-def test_p2_solve_holds_on_boxes_whose_stiffness_leaves_the_float32_range(width):
+def test_p2_solve_holds_on_boxes_whose_stiffness_leaves_the_float32_range(width, axes=2,
+                                                                          group="euclidean2"):
     # K's entries scale as width^-2; the float32 rounds run on K over a power
-    # of two, at most 2^1023 (K's largest diagonal is 1.3e308 on the last box)
-    grid = se.build_grid("euclidean2", [(0, width), (0, width)], (8, 8))
+    # of two, at most 2^1023 (K's largest diagonal is 1.3e308 on the last box),
+    # and their preconditioner divides by M's eigenvalues over the same power
+    grid = se.build_grid(group, [(0, width)] * axes, (8,) * axes)
     f = se.Field.ones(grid)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         z = solve_inner(f, 2.0, 1e-8).values
     assert np.linalg.norm(f.values - grid.stiffness_p2 @ z) <= 1e-8 * np.linalg.norm(f.values)
+
+
+@pytest.mark.parametrize("width", [1e-19, 1e25])
+def test_p2_heisenberg_solve_holds_on_boxes_at_the_float32_edge(width):
+    test_p2_solve_holds_on_boxes_whose_stiffness_leaves_the_float32_range(width, 3, "heisenberg1")
 
 
 @pytest.mark.parametrize("seed", [4, 9, 11])
@@ -231,6 +238,25 @@ def test_euclidean_pcg_iterations_do_not_grow_with_the_grid(monkeypatch, p, q):
         grid = se.build_grid("euclidean2", [(0, 1), (0, 1)], (n, n))
         assert se.inverse_iteration(se.SolverConfig(grid, p, q)).converged
     assert iterations and max(iterations) <= 12
+
+
+@pytest.mark.parametrize("p, q, bound", [(2.0, 2.0, 10), (3.0, 3.0, 16)])
+def test_heisenberg_pcg_iterations_stay_bounded_as_the_grid_refines(monkeypatch, p, q, bound):
+    # M^{-1}, M = sum_a w_a L_a the separable part of K, preconditions every PCG on
+    # heisenberg1 too; Jacobi took up to 11, 16, 26 (p = 2) and 19, 27, 37 (p = 3)
+    # iterations in one call at 8^3, 12^3, 16^3
+    iterations = []
+
+    def counted(*args):
+        result = _pcg(*args)
+        iterations.append(result[2])
+        return result
+
+    monkeypatch.setattr(inner_solver, "_pcg", counted)
+    for n in (8, 12, 16):
+        grid = se.build_grid("heisenberg1", [(0, 1)] * 3, (n, n, n))
+        assert se.inverse_iteration(se.SolverConfig(grid, p, q)).converged
+    assert iterations and max(iterations) <= bound
 
 
 def test_energy_descent_history(rng):
@@ -361,8 +387,9 @@ def test_warm_start_above_p2_runs_newton_steps_only(monkeypatch):
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_rejected_loose_solve_tightens_one_decade_at_a_time(rng, p):
-    # heisenberg1's Jacobi PCG does work in every decade; euclidean2's exact
-    # K^{-1} solves a p = 2 decade past the next one, which then does none
+    # heisenberg1's PCG, preconditioned by the separable part M of K, does work in
+    # every decade; euclidean2's exact K^{-1} solves a p = 2 decade past the next one,
+    # which then does none
     grid = se.build_grid("heisenberg1", [(0, 1), (0, 1), (0, 1)], (6, 6, 6))
     f = se.Field(grid, rng.standard_normal(grid.n_nodes))
     fnorm = np.linalg.norm(f.values)

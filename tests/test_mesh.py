@@ -1,4 +1,5 @@
 import csv
+import functools
 import warnings
 
 import numpy as np
@@ -448,17 +449,54 @@ def test_gradient_transpose_is_cached_csr(grid):
                                              ([(0, 2), (-1, 0.5)], (31, 17)),
                                              ([(0, 1), (0, 1)], (1, 5)),
                                              ([(0, 1), (0, 1)], (2, 3))])
-def test_stiffness_inverse_is_exact_on_euclidean_grids(box, resolution):
+def test_separable_inverse_is_exact_on_euclidean_grids(box, resolution):
     grid = se.build_grid("euclidean2", box, resolution)
     grid.stiffness_diagonal
-    assert "stiffness_inverse" not in vars(grid)  # built on first use only
+    assert "separable_inverse" not in vars(grid)  # built on first use only
     K, eye = grid.stiffness_p2.toarray(), np.eye(grid.n_nodes)
-    X = np.column_stack([grid.stiffness_inverse(e) for e in eye])
+    X = np.column_stack([grid.separable_inverse(e) for e in eye])
     assert np.max(np.abs(X @ K - eye)) <= 1e-12
     assert np.max(np.abs(K @ X - eye)) <= 1e-12
 
 
+def separable_part(grid):
+    """sum_a w_a L_a as a dense matrix: L_a axis a's tridiag(-1, 2, -1) / h_a^2 over
+    the node lattice, w_a the site mean of the squared coefficients that read axis a."""
+    w = np.zeros(len(grid.resolution))
+    for component in grid.group.horizontal_terms(grid.site_coordinates):
+        for axis, coeff in component:
+            w[axis] += np.mean(coeff ** 2)
+    M = np.zeros((grid.n_nodes, grid.n_nodes))
+    for a, (n, h) in enumerate(zip(grid.resolution, grid.spacings)):
+        L = (2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / h ** 2
+        factors = [L if b == a else np.eye(m) for b, m in enumerate(grid.resolution)]
+        M += w[a] * functools.reduce(np.kron, factors)
+    return M
+
+
 @pytest.mark.parametrize("resolution", [(3, 3, 3), (5, 4, 6)])
-def test_heisenberg_grids_have_no_stiffness_inverse(resolution):
-    # its horizontal fields read t with coefficients that vary in x and y
-    assert se.build_grid("heisenberg1", [(0, 1)] * 3, resolution).stiffness_inverse is None
+def test_separable_inverse_inverts_the_separable_part_on_heisenberg_grids(resolution):
+    # the t coefficients vary in x and y, so M keeps their site mean:
+    # w = (1, 1, mean((x^2 + y^2) / 4))
+    grid = se.build_grid("heisenberg1", [(0, 1)] * 3, resolution)
+    M, eye = separable_part(grid), np.eye(grid.n_nodes)
+    X = np.column_stack([grid.separable_inverse(e) for e in eye])
+    assert np.max(np.abs(M @ X - eye)) <= 1e-12
+    # a float32 operand stays float32, and scale s gives (M / s)^{-1}
+    v = np.random.default_rng(0).standard_normal(grid.n_nodes).astype(np.float32)
+    scaled = grid.separable_inverse(v, 64.0)
+    assert scaled.dtype == np.float32
+    assert np.max(np.abs(M @ scaled / 64.0 - v)) <= 1e-5 * np.max(np.abs(v))
+
+
+@pytest.mark.parametrize("grid", KERNEL_GRIDS + (
+    se.build_grid("heisenberg1", [(0, 1)] * 3, (5, 4, 6)),
+    se.build_grid("euclidean2", [(0, 2), (-1, 0.5)], (7, 5))))
+def test_hessians_are_exactly_symmetric(grid):
+    # each diagonal below the main one is a copy of its mirror above
+    z = np.random.default_rng(5).standard_normal(grid.n_nodes)
+    for p in (1.5, 3.0):
+        state = EnergyState(grid, z, p, 1e-8)
+        for frozen in (True, False):
+            H = state.hessian(frozen).tocsr()
+            assert (H - H.T).count_nonzero() == 0

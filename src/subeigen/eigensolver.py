@@ -186,39 +186,48 @@ _LOOSE_CAP = 1e-2
 
 def _anderson_candidate(memory: dict, g: Field, f: np.ndarray, R_g: float, p: float,
                         q: float) -> tuple[Field, float]:
-    """(next iterate, its exact quotient R) from the new pair (g_n, f_n = g_n - w_n)
-    and R_g = R(g_n): the normalized g_n - dG gamma, gamma the least-squares fit of
-    f_n by dF, if finite, nonzero and R <= R_g; else g_n, restarting from it.  dG and
-    dF, the differences of the kept pairs' g_i and f_i, oldest first and at most
-    _ANDERSON_DEPTH, are made once as each pair arrives, in ``memory`` ({} at first)."""
+    """(next iterate, its exact quotient R) from the new pair (g_n, f_n = g_n - w_n) and
+    R_g = R(g_n): the normalized g_n - dG gamma, (dF^T dF) gamma = dF^T f_n by least squares,
+    if finite, nonzero and R <= R_g; else g_n, restarting from it.  dG and dF, the kept pairs'
+    differences of g_i and f_i (oldest first, at most _ANDERSON_DEPTH), and the new row of
+    their k x k Gram dF^T dF are made once as each pair arrives, in ``memory`` ({} at first)."""
     if memory:  # the window moves by one difference
         memory["dG"] = [*memory["dG"], g.values - memory["g"].values][-_ANDERSON_DEPTH:]
-        memory["dF"] = [*memory["dF"], f - memory["f"]][-_ANDERSON_DEPTH:]
+        dF = memory["dF"] = [*memory["dF"], f - memory["f"]][-_ANDERSON_DEPTH:]
+        gram = memory["gram"] = np.pad(memory["gram"][1 - len(dF):, 1 - len(dF):], (0, 1))
+        gram[-1] = gram[:, -1] = [np.dot(df, dF[-1]) for df in dF]
     memory.update(g=g, f=f)
     gamma = None
     if memory.get("dF"):
         with contextlib.suppress(np.linalg.LinAlgError):
-            gamma = np.linalg.lstsq(np.array(memory["dF"]).T, f, rcond=None)[0]
+            gamma = np.linalg.lstsq(memory["gram"], [np.dot(df, f) for df in memory["dF"]],
+                                    rcond=None)[0]
     if gamma is not None:
-        cand = Field(g.grid, g.values - np.array(memory["dG"]).T @ gamma)
+        cand = Field(g.grid, g.values - sum(c * dg for c, dg in zip(gamma, memory["dG"])))
         nrm = lq_norm(cand, q)
         if math.isfinite(nrm) and nrm > 0.0:
             cand = _rescale(cand, nrm)
             if (R := p_energy(cand, p)) <= R_g:
                 return cand, R
-    memory.update(dG=[], dF=[])
+    memory.update(dG=[], dF=[], gram=np.empty((0, 0)))
     return g, R_g
 
 
-def _in_hoelder_bracket(z: Field, p: float, q: float, R_w: float, slack: float) -> bool:
-    """Whether mu = ||z||_q^{1-p} of an inexact solution z of A(z) = B(w)
-    obeys R(z) (1 - slack) <= mu <= R(w) (1 + slack), the bound an exact
-    solution meets; R(w) = R_w is given."""
+def _keep_quotients(z: Field, p: float, q: float, kept: list, bracket: tuple | None = None) -> bool:
+    """Whether ||z||_q of a solution z of A(z) = B(w) is nonzero and finite and, given
+    bracket = (R(w), slack), mu = ||z||_q^{1-p} obeys R(g) (1 - slack) <= mu <= R(w)
+    (1 + slack), g = z / ||z||_q: the Hoelder bracket an exact solution meets (R(g) =
+    R(z)).  If so, (mu, g, g's exact EnergyState, R(g)) is appended to ``kept``."""
     znorm = lq_norm(z, q)
     if not 0.0 < znorm < math.inf:
         return False
-    mu = znorm ** (1.0 - p)
-    return p_energy(z, p) / znorm ** p * (1.0 - slack) <= mu <= R_w * (1.0 + slack)
+    g, mu = _rescale(z, znorm), znorm ** (1.0 - p)
+    state = EnergyState(g.grid, g.values, p, 0.0)
+    R_g = state.energy() * g.grid.cell_volume
+    if bracket and not R_g * (1.0 - bracket[1]) <= mu <= bracket[0] * (1.0 + bracket[1]):
+        return False
+    kept.append((mu, g, state, R_g))
+    return True
 
 
 def inverse_iteration(cfg: SolverConfig, w0: Field | str = "default") -> EigenResult:
@@ -226,10 +235,11 @@ def inverse_iteration(cfg: SolverConfig, w0: Field | str = "default") -> EigenRe
 
     Step n solves A(z) = B(w_n) and sets mu_n = ||z||_q^{1-p} and
     g_n = normalize(z).  The next iterate w_{n+1} is the Anderson
-    extrapolation of the last _ANDERSON_DEPTH + 1 pairs (w_i, g_i), accepted
-    only if it is finite, nonzero and R(w_{n+1}) <= R(g_n) with R the exact
-    (eps = 0) quotient; otherwise w_{n+1} = g_n and the history restarts
-    from (w_n, g_n).  Since R(g_n) <= mu_n <= R(w_n) for unit-norm w_n, the
+    extrapolation of the last _ANDERSON_DEPTH + 1 pairs (w_i, g_i), from the
+    k x k Gram of their f-differences that _anderson_candidate keeps across
+    steps, accepted only if it is finite, nonzero and R(w_{n+1}) <= R(g_n),
+    R the exact (eps = 0) quotient; else w_{n+1} = g_n and the history
+    restarts from (w_n, g_n).  Since R(g_n) <= mu_n <= R(w_n) for unit-norm w_n, the
     safeguard keeps the records' mu nonincreasing and unorm = R(w_{n+1})
     below mu_n.  Record n's change is the fixed-point residual
     ||g_n - w_n||_q, and the next solve is warm-started from
@@ -239,11 +249,11 @@ def inverse_iteration(cfg: SolverConfig, w0: Field | str = "default") -> EigenRe
     _LOOSE_FACTOR * change_{n-1})), step 0 to max(tol_inner, _LOOSE_CAP),
     and every step after a change <= tol_outer to tol_inner.  A loose solve
     is kept only if R(g_n)(1 - tol_inner) <= mu_n <= R(w_n)(1 + tol_inner),
-    the Hoelder bracket with slack; otherwise the same inner solve goes on
-    from there one decade tighter, tau_n / 10, tau_n / 100, ..., asking the
-    bracket again at each decade above tol_inner and ending at tol_inner.
-    So mu stays nonincreasing and unorm below mu within a slack of about
-    2 tol_inner.
+    the Hoelder bracket with slack, whose mu_n, g_n, exact EnergyState of
+    g_n and R(g_n) the step reuses; otherwise the same solve goes on one
+    decade tighter, tau_n / 10, tau_n / 100, ..., asking the bracket again
+    at each decade above tol_inner and ending at tol_inner.  So mu stays
+    nonincreasing and unorm below mu within a slack of about 2 tol_inner.
 
     Stops once both the relative mu-change and the fixed-point residual drop
     below tol_outer on a step solved to tol_inner, or at max_outer with
@@ -263,25 +273,23 @@ def inverse_iteration(cfg: SolverConfig, w0: Field | str = "default") -> EigenRe
     converged = False
     tol, loose_tol = cfg.tol_inner, _LOOSE_CAP
     for _ in range(cfg.max_outer):
-        stats: dict = {}
+        stats, kept = {}, []  # kept: the _keep_quotients of the returned z
         # warm start near the expected fixed point z* = mu^{1/(1-p)} w
         warm = w * (history[-1].mu ** (1.0 / (1.0 - p))) if history else None
         try:
-            z = solve_inner(apply_B(w, q), p, tol, x0=warm, stats=stats,
-                            loose=(loose_tol, lambda z: _in_hoelder_bracket(z, p, q, R_w, tol)))
+            z = solve_inner(apply_B(w, q), p, tol, x0=warm, stats=stats, loose=(
+                loose_tol, lambda z: _keep_quotients(z, p, q, kept, (R_w, tol))))
         except ConvergenceError:
             if not history:
                 raise
             break
-        znorm = lq_norm(z, q)
-        if znorm == 0.0 or not math.isfinite(znorm):
+        # a loose z the bracket accepts is the z solve_inner returns, its quotients kept
+        if not (kept or _keep_quotients(z, p, q, kept)):
             raise RuntimeError("inner solver returned a degenerate iterate; A(z) = B(w) has a "
                                "nonzero solution for nonzero w, so this indicates a solver bug")
-        mu = znorm ** (1.0 - p)
-        g = _rescale(z, znorm)
-        R_g = (state := EnergyState(g.grid, g.values, p, 0.0)).energy() * g.grid.cell_volume
-        w_next, R_next = _anderson_candidate(anderson, g, g.values - w.values, R_g, p, q)
-        change = lq_norm(g - w, q)
+        mu, g, state, R_g = kept[0]
+        w_next, R_next = _anderson_candidate(anderson, g, f := g.values - w.values, R_g, p, q)
+        change = lq_norm(Field(g.grid, f), q)  # ||g_n - w_n||_q
         history.append(IterationRecord(mu, R_next, change, stats["iters"],
                                        residual(g, mu, p, q, state)))
         w, R_w = w_next, R_next

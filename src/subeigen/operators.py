@@ -58,6 +58,7 @@ def residual(u: Field, lam: float, p: float, q: float, state: EnergyState | None
     if not np.any(u.values):
         raise ValueError("eigenpair residual is undefined for the zero field")
     state = state or EnergyState(u.grid, u.values, p, 0.0)
-    defect = state.flux_divergence() - lam * lq_norm(u, q) ** (p - q) * apply_B(u, q).values
+    scale = lam * lq_norm(u, q) ** (p - q) if p != q else lam  # the factor is 1 at p = q
+    defect = state.flux_divergence() - scale * apply_B(u, q).values
     worst = float(np.max(np.abs(defect)) * u.grid.cell_volume)
     return worst / (state.energy() * u.grid.cell_volume) ** ((p - 1.0) / p)

@@ -391,6 +391,11 @@ def test_anderson_memory_keeps_the_last_pairs_and_restarts_to_the_newest(rng):
     memory = {}
     for g_i, f_i in pairs:
         cand, R = _anderson_candidate(memory, g_i, f_i, np.inf, 2.0, 2.0)
+        # the Gram kept across window moves is that of the kept differences
+        dF = np.array(memory["dF"])
+        assert memory["gram"].shape == (len(dF), len(dF))
+        np.testing.assert_allclose(memory["gram"], dF @ dF.T, rtol=1e-12,
+                                   atol=1e-12 * np.abs(dF @ dF.T).max(initial=0.0))
     kept = pairs[-_ANDERSON_DEPTH - 1:]
     assert len(memory["dG"]) == len(memory["dF"]) == _ANDERSON_DEPTH
     for (old, f_old), (new, f_new), dg, df in zip(kept, kept[1:], memory["dG"], memory["dF"]):
@@ -401,3 +406,92 @@ def test_anderson_memory_keeps_the_last_pairs_and_restarts_to_the_newest(rng):
     g_next = normalize(se.Field(grid, 1.0 + 0.1 * rng.random(grid.n_nodes)), 2.0)
     assert _anderson_candidate(memory, g_next, f, 0.0, 2.0, 2.0) == (g_next, 0.0)
     assert memory["g"] is g_next and memory["dG"] == memory["dF"] == []
+    assert memory["gram"].size == 0
+
+
+def anderson_pairs(grid, rng, count):
+    return [(normalize(se.Field(grid, 1.0 + 0.1 * rng.random(grid.n_nodes)), 2.0),
+             1e-3 * rng.standard_normal(grid.n_nodes)) for _ in range(count)]
+
+
+def test_anderson_candidate_matches_least_squares_on_the_stacked_differences(rng):
+    # the k x k Gram solve gives the candidate of lstsq on the n x k differences
+    grid = small_square(6)
+    memory: dict = {}
+    for step, (g, f) in enumerate(anderson_pairs(grid, rng, _ANDERSON_DEPTH + 3)):
+        cand, R = _anderson_candidate(memory, g, f, np.inf, 2.0, 2.0)
+        if step == 0:
+            continue
+        dF, dG = np.array(memory["dF"]).T, np.array(memory["dG"]).T
+        assert np.linalg.cond(dF) < 1e3  # well conditioned
+        gamma = np.linalg.lstsq(dF, f, rcond=None)[0]
+        expected = normalize(se.Field(grid, g.values - dG @ gamma), 2.0)
+        np.testing.assert_allclose(cand.values, expected.values, rtol=1e-8, atol=1e-8)
+        assert R == pytest.approx(se.rayleigh_quotient(expected, 2.0, 2.0), rel=1e-8)
+
+
+@pytest.mark.parametrize("repeat", [1, 3])
+def test_anderson_candidate_with_a_repeated_pair_is_finite_or_restarts(rng, repeat):
+    # a pair that arrives twice makes a zero difference and a singular Gram;
+    # with the safeguard at R(g) a candidate may also restart the memory
+    grid = small_square(6)
+    pairs = anderson_pairs(grid, rng, 4)
+    pairs.insert(repeat, pairs[repeat - 1])
+    for safeguard in (np.inf, None):
+        memory: dict = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for g, f in pairs:
+                R_g = se.rayleigh_quotient(g, 2.0, 2.0) if safeguard is None else safeguard
+                cand, R = _anderson_candidate(memory, g, f, R_g, 2.0, 2.0)
+                assert np.isfinite(cand.values).all()
+                assert (cand, R) == (g, R_g) or R <= R_g  # a restart or a finite candidate
+        if safeguard is np.inf:  # every candidate passed: the singular Gram was solved
+            assert any(not np.any(df) for df in memory["dF"])
+            assert np.linalg.matrix_rank(memory["gram"]) < len(memory["gram"])
+
+
+@pytest.mark.parametrize("group, n, q", [("euclidean2", 12, 2.0), ("heisenberg1", 6, 2.0),
+                                         ("heisenberg1", 6, 3.0)])
+def test_each_iterate_is_differentiated_once(monkeypatch, group, n, q):
+    # G products at p = 2: one for the start, one per bracket question, one per
+    # step solved to tol_inner and one per Anderson candidate, so a loose z the
+    # bracket accepts is not differentiated again after its solve
+    from subeigen import eigensolver
+    dim = 2 if group == "euclidean2" else 3
+    grid = se.build_grid(group, [(0, 1)] * dim, (n,) * dim)
+    counts = {"G": 0, "questions": 0, "tight": 0, "candidates": 0}
+
+    class CountedG:
+        def __init__(self, matrix):
+            self.matrix = matrix
+
+        def __matmul__(self, other):
+            counts["G"] += 1
+            return self.matrix @ other
+
+        def __getattr__(self, name):
+            return getattr(self.matrix, name)
+
+    grid.gradient_transpose, grid.stiffness_p2_float32  # built from the plain G
+    grid.__dict__["gradient_matrix"] = CountedG(grid.gradient_matrix)
+    real_solve, real_anderson = eigensolver.solve_inner, eigensolver._anderson_candidate
+
+    def solve(f, p, tol, *, stats, loose, **kwargs):
+        def asked(z):
+            counts["questions"] += 1
+            return loose[1](z)
+        z = real_solve(f, p, tol, stats=stats, loose=(loose[0], asked), **kwargs)
+        counts["tight"] += not stats["loose"]
+        return z
+
+    def anderson(memory, *args):
+        counts["candidates"] += bool(memory)  # a pair to difference: one candidate
+        return real_anderson(memory, *args)
+
+    monkeypatch.setattr(eigensolver, "solve_inner", solve)
+    monkeypatch.setattr(eigensolver, "_anderson_candidate", anderson)
+    r = se.inverse_iteration(se.SolverConfig(grid=grid, p=2.0, q=q))
+    assert r.converged
+    assert counts["tight"] < r.outer_iters  # some loose z was kept
+    assert counts["G"] == 1 + counts["questions"] + counts["tight"] + counts["candidates"]

@@ -187,6 +187,21 @@ def test_residual_matches_definition(unit_square, rng):
         assert se.residual(u, lam, p, q) == pytest.approx(expected, rel=1e-12)
 
 
+def test_residual_at_p_equal_q_takes_no_norm(unit_square, rng, monkeypatch):
+    # ||u||_q^{p-q} is exactly 1 at p = q, so residual skips the norm and its
+    # value is bit for bit the one of the full formula
+    from subeigen import operators
+    u = random_field(unit_square, rng)
+    for p in (1.5, 2.0, 3.0):
+        state = EnergyState(unit_square, u.values, p, 0.0)
+        defect = state.flux_divergence() - 7.0 * se.lq_norm(u, p) ** 0.0 * se.apply_B(u, p).values
+        expected = float(np.max(np.abs(defect)) * unit_square.cell_volume) / (
+            state.energy() * unit_square.cell_volume) ** ((p - 1.0) / p)
+        with monkeypatch.context() as patch:
+            patch.setattr(operators, "lq_norm", None)  # any call fails
+            assert se.residual(u, 7.0, p, p).hex() == expected.hex()
+
+
 def test_apply_A_is_energy_gradient(rng):
     # both outputs of the p-energy kernel: the flux is the gradient of energy/p,
     # for the inner solver's regularized kernel and for the exact p_energy / apply_A

@@ -8,8 +8,7 @@ flag without a field is the deprecated --method (inverse | both): every
 solve is an inverse_iteration, so main warns once and ignores it.
 
 * ``summary.json`` -- group/box/resolution/exponents, lambda_hat, residual, convergence
-  flag, iteration count, runtime (of inverse_iteration only, not of the regularity
-  report's extra (p, p) solve at q < p) and the regularity report.
+  flag, iteration count, runtime (of inverse_iteration) and the regularity report.
 * ``trace.csv`` -- the solver's history, one row per outer step: n, mu_n,
   unorm_p, lq_change, inner_iters, residual.
 * ``field.csv`` (--dump-field) -- eigenfunction node values with coordinates.

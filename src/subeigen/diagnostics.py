@@ -8,9 +8,9 @@ Sobolev-type embedding
 
     ||u||_l  <=  S |Omega|^{1/l - 1/p + 1/nu} ||grad_H u||_p .
 
-``S`` is the *discrete best constant* of that inequality on a given grid,
-obtained from the first (p,l)-eigenvalue; the threshold and decay checks
-therefore test exact discrete statements.
+The report takes S from u's own embedding quotient, a lower bound on the
+discrete best constant (``estimate_sobolev_constant``), so each threshold
+and decay bound it tests is at most the exact one, and it runs no solve.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolver import SolverConfig, inverse_iteration, normalize
+from .eigensolver import SolverConfig, inverse_iteration, normalize, rayleigh_quotient
 from .mesh import Field, Grid, lq_norm, p_energy
 
 __all__ = [
@@ -168,16 +168,17 @@ def regularity_report(u: Field, lam: float, p: float, q: float) -> RegularityRep
     """Assemble the qualitative-property report for one converged eigenpair.
 
     ``u`` is renormalized to unit L^q norm internally (the bound is stated
-    for that representative).  S is the discrete best constant for the
-    exponent pair (p, r), r = max(p, q): r = q reuses lam itself; r = p > q
-    runs one extra inverse_iteration on the same grid.
+    for that representative).  S comes from u's own (p, r) quotient,
+    r = max(p, q): lam itself when r = q, else R_{p,r}(u) >= lambda_{p,r}.
+    It is at most the discrete best constant, so sup|u| <= k_threshold,
+    with margin k_threshold / sup_norm, implies the exact bound.
     """
     grid = u.grid
     nu = grid.group.homogeneous_dim
     u = normalize(u, q)
     r, _ = _superlevel_exponents(p, q, nu)
-    S = sobolev_constant_from_lambda(lam, grid, p, q) if r == q else \
-        estimate_sobolev_constant(grid, p, r)
+    S = sobolev_constant_from_lambda(lam if r == q else rayleigh_quotient(u, p, r),
+                                     grid, p, r)
     info = linf_threshold(lam, S, lq_norm(u, 1.0), p, q, nu)
     positive, c = positivity_check(u)
     return RegularityReport(

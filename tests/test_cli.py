@@ -138,6 +138,23 @@ def test_quotient_beyond_float_range_is_one_error_line(tmp_path, capsys, flags):
     assert "p=100" in err and "overflow" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("box, p", [("0,1,0,1", "40"), ("0,1e-3,0,1e-3", "40"),
+                                    ("0,1e4,0,1e4", "40"), ("0,1,0,1", "100")])
+def test_large_p_run_that_converges_exits_zero(tmp_path, capsys, box, p):
+    # the report takes S from u itself, so no second (p, p) solve can fail
+    # after the main solve has converged
+    out = tmp_path / "run"
+    code = main(["--group", "euclidean2", "--box", box, "--resolution", "16,16",
+                 "--p", p, "--q", "2", "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=reject_constant)
+    assert summary["converged"] is True
+    k = summary["regularity"]["k_threshold"]
+    assert k is not None and 0 < k < np.inf
+    assert summary["regularity"]["sup_norm"] <= k
+
+
 def test_trace_csv_columns(tmp_path):
     out = tmp_path / "run"
     main(["--group", "euclidean2", "--box", "0,1,0,1", "--resolution", "8,8",
